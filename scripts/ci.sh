@@ -18,6 +18,8 @@
 #                            # chaos harnesses under ASan and TSan, plus the
 #                            # gated failover-gap and partition-heal bench rows
 #   scripts/ci.sh perf       # Fig.4 runtime bench vs bench/baselines.json
+#   scripts/ci.sh bench      # repository benchmark: its unit tests plus one
+#                            # short pair-large run that must be correct
 #   scripts/ci.sh coverage   # --coverage build; enforces the line floor
 #   scripts/ci.sh all        # all of the above
 set -euo pipefail
@@ -251,6 +253,21 @@ run_perf() {
     | python3 scripts/check_perf.py bench/baselines.json
 }
 
+# Repository benchmark (perfbench/, declared by BENCHMARK.json): its own
+# unit tests (metric catalogue, accounting invariants, load-generator
+# limits, open-loop honesty, incomplete-checkout refusal), then one short
+# pair-large run, whose last line is the result object; every operation
+# in it is checked, so it must report "correct": true.
+run_bench() {
+  python3 -m unittest perfbench/test_perfbench.py
+  local result
+  result="$(python3 perfbench/run.py --workload pair-large --seed 1 \
+              --seconds 5 --trace 0 | tail -n 1)"
+  echo "${result}"
+  python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \
+    "${result}"
+}
+
 run_obs_off() {
   # The observability kill switch: everything must still compile, link and
   # pass with every instrumentation hook compiled down to a no-op.
@@ -341,11 +358,12 @@ case "${MODE}" in
   serve)     run_serve ;;
   ha)        run_ha ;;
   perf)      run_perf ;;
+  bench)     run_bench ;;
   coverage)  run_coverage ;;
   all)       run_default; run_tsan; run_asan; run_ubsan; run_obs_off
              run_fault_off; run_chaos; run_stress; run_recovery
-             run_serve; run_ha; run_perf; run_coverage ;;
+             run_serve; run_ha; run_perf; run_bench; run_coverage ;;
   *) echo "unknown mode '${MODE}'" \
-          "(default|tsan|asan|ubsan|obs-off|fault-off|chaos|stress|recovery|serve|ha|perf|coverage|all)" >&2
+          "(default|tsan|asan|ubsan|obs-off|fault-off|chaos|stress|recovery|serve|ha|perf|bench|coverage|all)" >&2
      exit 2 ;;
 esac

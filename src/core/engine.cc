@@ -596,6 +596,18 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
     }
   }
 
+  // A request whose envelope has tripped by the time it is admitted —
+  // while it queued, or while a corpus entry was being parsed under the
+  // shared deadline — does no matching work (not even the flatten the
+  // table charge below needs).
+  if (const StopReason stopped = control.Check();
+      stopped != StopReason::kNone) {
+    out.status = StopStatus(stopped, "match");
+    out.result.algorithm = std::string(matcher_.name());
+    CountRequestOutcome(out.status);
+    return out;
+  }
+
   // Degradation ladder: the pressure signal picks the rung, unless the
   // request pins one explicitly.
   const double pressure = Pressure();
@@ -616,13 +628,17 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
   }
 
   // Memory budget: the pairwise table is this request's dominant
-  // allocation; charge it (request budget rolls up into the process one)
-  // and reject with a typed kResourceExhausted instead of OOMing.
+  // allocation; charge its real footprint (the kernel's 9-byte-per-pair
+  // columns plus the distinct-label class matrix — they live outside the
+  // scratch arena) to the request budget, which rolls up into the process
+  // one, and reject with a typed kResourceExhausted instead of OOMing.
   MemoryBudget request_budget(overload.request_budget_bytes, &process_budget_);
   ScopedCharge table_charge(&request_budget);
   {
     Status charged = table_charge.Add(
-        std::max<uint64_t>(1, pairs) * sizeof(PairQoM), "pairwise QoM table");
+        std::max<uint64_t>(
+            1, match::CompactTableBytes(source.Flat(), target.Flat())),
+        "pairwise QoM table");
     if (!charged.ok()) {
       out.status = std::move(charged);
       CountRequestOutcome(out.status);

@@ -1,56 +1,17 @@
 #include "core/qmatch.h"
 
 #include <algorithm>
-#include <atomic>
+#include <mutex>
+#include <unordered_map>
 #include <utility>
 
 #include "common/arena.h"
 #include "common/string_util.h"
-#include "fault/failpoint.h"
 #include "lingua/default_thesaurus.h"
 #include "lingua/name_match.h"
 #include "obs/obs.h"
-#include "xsd/flatten.h"
 
 namespace qmatch::core {
-
-#if QMATCH_OBS_ENABLED
-namespace {
-
-/// Thread-local accumulator for the per-axis TreeMatch timings. Axis
-/// timings are *sampled* (every kTreeMatchSampleEvery-th pair takes clock
-/// readings around each axis block) so the instrumented table fill stays
-/// within the < 2% overhead budget; memo-lookup counts are exact. Each
-/// worker flushes its accumulator to the registry once per source row.
-constexpr size_t kTreeMatchSampleEvery = 64;
-
-struct TreeMatchAccum {
-  uint64_t label_ns = 0;
-  uint64_t properties_ns = 0;
-  uint64_t level_ns = 0;
-  uint64_t children_ns = 0;
-  uint64_t sampled_pairs = 0;
-  uint64_t memo_lookups = 0;          // child-pair table reads (memo hits)
-  uint64_t contributing_children = 0; // lookups that cleared the threshold
-
-  void Flush() {
-    if (sampled_pairs == 0 && memo_lookups == 0) return;
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_label_ns", label_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_properties_ns", properties_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_level_ns", level_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_children_ns", children_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.sampled_pairs", sampled_pairs);
-    QMATCH_COUNTER_ADD("qmatch.treematch.memo_lookups", memo_lookups);
-    QMATCH_COUNTER_ADD("qmatch.treematch.contributing_children",
-                       contributing_children);
-    *this = TreeMatchAccum{};
-  }
-};
-
-thread_local TreeMatchAccum t_treematch_accum;
-
-}  // namespace
-#endif  // QMATCH_OBS_ENABLED
 
 QMatch::QMatch() : QMatch(QMatchConfig{}, &lingua::DefaultThesaurus()) {}
 
@@ -60,52 +21,74 @@ QMatch::QMatch(QMatchConfig config)
 QMatch::QMatch(QMatchConfig config, const lingua::Thesaurus* thesaurus)
     : config_(std::move(config)), thesaurus_(thesaurus) {}
 
-namespace {
+struct QMatch::Analysis::Lookup {
+  Lookup(const lingua::Thesaurus* thesaurus, lingua::NameMatchOptions options)
+      : name_matcher(thesaurus, options) {}
 
-qom::AxisMatch ToAxisMatch(lingua::LabelMatchClass cls) {
-  switch (cls) {
-    case lingua::LabelMatchClass::kExact:
-      return qom::AxisMatch::kExact;
-    case lingua::LabelMatchClass::kRelaxed:
-      return qom::AxisMatch::kRelaxed;
-    case lingua::LabelMatchClass::kNone:
-      return qom::AxisMatch::kNone;
+  /// The kernel's name matcher too: it lives here so the on-demand label
+  /// scorer can borrow it after the fill.
+  const lingua::NameMatcher name_matcher;
+  std::mutex mu;
+  std::unordered_map<const xsd::SchemaNode*, size_t> source_index;
+  std::unordered_map<const xsd::SchemaNode*, size_t> target_index;
+  std::optional<lingua::PairwiseLabelScorer> scorer;
+};
+
+std::optional<PairQoM> QMatch::Analysis::Cell(size_t i, size_t j) const {
+  if (row_done_[i] == 0) return std::nullopt;
+  std::lock_guard<std::mutex> lock(lookup_->mu);
+  if (!lookup_->scorer.has_value()) {
+    lookup_->scorer.emplace(lookup_->name_matcher, source_flat_->labels,
+                            target_flat_->labels);
   }
-  return qom::AxisMatch::kNone;
+  return match::DecomposeCell(
+      *source_flat_, *target_flat_, kernel_config_, i, j,
+      lookup_->scorer->Match(source_flat_->label_id[i],
+                             target_flat_->label_id[j]),
+      match::MatchProperties(*source_flat_->nodes[i], *target_flat_->nodes[j],
+                             kernel_config_.property_options),
+      qom_.get(), category_.get());
 }
 
-qom::AxisMatch ToAxisMatch(match::PropertyMatchClass cls) {
-  switch (cls) {
-    case match::PropertyMatchClass::kExact:
-      return qom::AxisMatch::kExact;
-    case match::PropertyMatchClass::kRelaxed:
-      return qom::AxisMatch::kRelaxed;
-    case match::PropertyMatchClass::kNone:
-      return qom::AxisMatch::kNone;
+std::optional<PairQoM> QMatch::Analysis::Pair(
+    const xsd::SchemaNode* source, const xsd::SchemaNode* target) const {
+  if (lookup_ == nullptr) return std::nullopt;
+  size_t i = 0;
+  size_t j = 0;
+  {
+    std::lock_guard<std::mutex> lock(lookup_->mu);
+    if (lookup_->source_index.empty()) {
+      for (size_t k = 0; k < source_flat_->size(); ++k) {
+        lookup_->source_index.emplace(source_flat_->nodes[k], k);
+      }
+      for (size_t k = 0; k < target_flat_->size(); ++k) {
+        lookup_->target_index.emplace(target_flat_->nodes[k], k);
+      }
+    }
+    auto is = lookup_->source_index.find(source);
+    auto it = lookup_->target_index.find(target);
+    if (is == lookup_->source_index.end() ||
+        it == lookup_->target_index.end()) {
+      return std::nullopt;
+    }
+    i = is->second;
+    j = it->second;
   }
-  return qom::AxisMatch::kNone;
+  return Cell(i, j);
 }
 
-}  // namespace
-
-const PairQoM* QMatch::Analysis::Pair(const xsd::SchemaNode* source,
-                                      const xsd::SchemaNode* target) const {
-  auto is = source_index_.find(source);
-  auto it = target_index_.find(target);
-  if (is == source_index_.end() || it == target_index_.end()) return nullptr;
-  return &table_[is->second * target_nodes_.size() + it->second];
-}
-
-const PairQoM* QMatch::Analysis::PairByPath(std::string_view source_path,
-                                            std::string_view target_path) const {
+std::optional<PairQoM> QMatch::Analysis::PairByPath(
+    std::string_view source_path, std::string_view target_path) const {
   const xsd::SchemaNode* s = source_schema_->FindByPath(source_path);
   const xsd::SchemaNode* t = target_schema_->FindByPath(target_path);
-  if (s == nullptr || t == nullptr) return nullptr;
+  if (s == nullptr || t == nullptr) return std::nullopt;
   return Pair(s, t);
 }
 
-const PairQoM& QMatch::Analysis::Root() const {
-  return table_[0];  // preorder puts both roots first
+PairQoM QMatch::Analysis::Root() const {
+  // Preorder puts both roots first.
+  if (lookup_ == nullptr) return PairQoM{};
+  return Cell(0, 0).value_or(PairQoM{});
 }
 
 std::string QMatch::Analysis::ExplainCorrespondences() const {
@@ -121,10 +104,10 @@ std::string QMatch::Analysis::ExplainCorrespondences() const {
   std::string out = StrFormat("schema QoM %.4f — %zu correspondences\n",
                               result_.schema_qom, sorted.size());
   for (const Correspondence* c : sorted) {
-    const PairQoM* pair = Pair(c->source, c->target);
+    const std::optional<PairQoM> pair = Pair(c->source, c->target);
     out += StrFormat("%s -> %s\n  %s\n", c->source->Path().c_str(),
                      c->target->Path().c_str(),
-                     pair != nullptr ? pair->ToString().c_str() : "<?>");
+                     pair.has_value() ? pair->ToString().c_str() : "<?>");
   }
   return out;
 }
@@ -133,8 +116,8 @@ std::map<qom::MatchCategory, size_t> QMatch::Analysis::CategoryHistogram()
     const {
   std::map<qom::MatchCategory, size_t> histogram;
   for (const Correspondence& c : result_.correspondences) {
-    const PairQoM* pair = Pair(c.source, c.target);
-    if (pair != nullptr) ++histogram[pair->category];
+    const std::optional<PairQoM> pair = Pair(c.source, c.target);
+    if (pair.has_value()) ++histogram[pair->category];
   }
   return histogram;
 }
@@ -174,7 +157,6 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   // kCappedDepth treats nodes at the cap or deeper as leaves on the
   // children axis only. kFull leaves every branch byte-for-byte unchanged.
   const bool label_only = tree.mode == MatchMode::kLabelOnly;
-  const bool capped = tree.mode == MatchMode::kCappedDepth;
   qom::Weights weights = config_.weights;
   if (label_only) {
     const double rest = weights.label + weights.properties + weights.level;
@@ -187,359 +169,88 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
     }
     weights.children = 0.0;
   }
-  auto effective_leaf = [&](const xsd::SchemaNode* node) {
-    return node->IsLeaf() ||
-           (capped && node->level() >= tree.children_depth_cap);
-  };
 
-  analysis.source_nodes_ = source.AllNodes();
-  analysis.target_nodes_ = target.AllNodes();
-  const auto& src = analysis.source_nodes_;
-  const auto& tgt = analysis.target_nodes_;
+  const xsd::FlatSchema& src = source.Flat();
+  const xsd::FlatSchema& tgt = target.Flat();
+  analysis.source_flat_ = &src;
+  analysis.target_flat_ = &tgt;
   const size_t n = src.size();
   const size_t m = tgt.size();
+  const size_t ml = tgt.labels.size();
   QMATCH_SPAN(treematch_span, "qmatch.treematch");
   QMATCH_SPAN_ARG(treematch_span, "source_nodes", n);
   QMATCH_SPAN_ARG(treematch_span, "target_nodes", m);
   QMATCH_COUNTER_ADD("qmatch.treematch.tables", 1);
   QMATCH_COUNTER_ADD("qmatch.treematch.pairs", n * m);
-  for (size_t i = 0; i < n; ++i) analysis.source_index_[src[i]] = i;
-  for (size_t j = 0; j < m; ++j) analysis.target_index_[tgt[j]] = j;
-  analysis.table_.assign(n * m, PairQoM{});
-  auto& table = analysis.table_;
-  auto at = [&](size_t i, size_t j) -> PairQoM& { return table[i * m + j]; };
 
-  // Kernel routing (DESIGN.md §13): both implementations fill the same
-  // source-major table bit-identically. The SoA kernel batches the work
-  // over the schemas' flattened projections with arena scratch; the tree
-  // walk below is the node-at-a-time reference it is diffed against.
-  const match::KernelKind kernel =
-      tree.kernel.has_value() ? *tree.kernel : match::DefaultKernel();
-  const lingua::NameMatcher name_matcher(thesaurus_, config_.name_options);
-  std::vector<char> row_done(n, 0);
+  analysis.lookup_ =
+      std::make_shared<Analysis::Lookup>(thesaurus_, config_.name_options);
+  match::SoaKernelConfig& kernel_config = analysis.kernel_config_;
+  kernel_config.weights = weights;
+  kernel_config.threshold = config_.threshold;
+  kernel_config.best_match_accumulation =
+      config_.child_accumulation == QMatchConfig::ChildAccumulation::kBestMatch;
+  kernel_config.level_graded =
+      config_.level_mode == QMatchConfig::LevelMode::kGraded;
+  kernel_config.leaf_to_inner_children_credit =
+      config_.leaf_to_inner_children_credit;
+  kernel_config.label_only = label_only;
+  kernel_config.capped = tree.mode == MatchMode::kCappedDepth;
+  kernel_config.children_depth_cap = tree.children_depth_cap;
+  kernel_config.name_matcher = &analysis.lookup_->name_matcher;
+  kernel_config.property_options = config_.property_options;
 
-  if (kernel == match::KernelKind::kSoa) {
-    const xsd::FlatSchema& flat_source = source.Flat();
-    const xsd::FlatSchema& flat_target = target.Flat();
+  // The compact table is left uninitialised: the kernel writes every cell
+  // of a completed row, and nothing reads a row that did not complete.
+  analysis.qom_ = std::make_unique_for_overwrite<double[]>(n * m);
+  analysis.category_ = std::make_unique_for_overwrite<uint8_t[]>(n * m);
+  analysis.label_cls_ =
+      std::make_unique_for_overwrite<uint8_t[]>(src.labels.size() * ml);
+  analysis.row_done_.assign(n, 0);
+  {
     // Per-request scratch arena, charged against the request's memory
     // budget block-by-block; ArenaExhausted propagates to the engine,
     // which maps it to kResourceExhausted.
     Arena arena(Arena::kDefaultBlockBytes, tree.arena_budget);
-    match::SoaKernelConfig kernel_config;
-    kernel_config.weights = weights;
-    kernel_config.threshold = config_.threshold;
-    kernel_config.best_match_accumulation =
-        config_.child_accumulation ==
-        QMatchConfig::ChildAccumulation::kBestMatch;
-    kernel_config.level_graded =
-        config_.level_mode == QMatchConfig::LevelMode::kGraded;
-    kernel_config.leaf_to_inner_children_credit =
-        config_.leaf_to_inner_children_credit;
-    kernel_config.label_only = label_only;
-    kernel_config.capped = capped;
-    kernel_config.children_depth_cap = tree.children_depth_cap;
-    kernel_config.name_matcher = &name_matcher;
-    kernel_config.property_options = config_.property_options;
-    const match::SoaKernelResult run =
-        match::SoaFillTable(flat_source, flat_target, kernel_config,
-                            table.data(), row_done, pool, control, &arena);
+    const match::SoaKernelResult run = match::SoaFillTable(
+        src, tgt, kernel_config,
+        match::CompactTable{analysis.qom_.get(), analysis.category_.get(),
+                            analysis.label_cls_.get()},
+        analysis.row_done_, pool, control, &arena);
     analysis.stop_reason_ = run.stop;
     analysis.completed_rows_ = run.completed_rows;
-  } else {
-    // Tokenise every label once and memoise token-pair similarities; the
-    // O(n·m) pair loop then does array lookups.
-    std::vector<std::string> source_labels;
-    source_labels.reserve(n);
-    for (const xsd::SchemaNode* s : src) source_labels.push_back(s->label());
-    std::vector<std::string> target_labels;
-    target_labels.reserve(m);
-    for (const xsd::SchemaNode* t : tgt) target_labels.push_back(t->label());
-    lingua::PairwiseLabelScorer label_scorer(name_matcher, source_labels,
-                                             target_labels);
-    auto label_match = [&](size_t i, size_t j) {
-      return label_scorer.Match(i, j);
-    };
-
-    // One (source, target) pair of the QoM table. Reads only pairs of
-    // strictly deeper source nodes (the children of `src[i]`), so any
-    // schedule that fills deeper source levels first is valid.
-    auto compute_pair = [&](size_t i, size_t j) {
-      {
-        const xsd::SchemaNode* s = src[i];
-        const xsd::SchemaNode* t = tgt[j];
-        PairQoM& pair = at(i, j);
-#if QMATCH_OBS_ENABLED
-        // Sampled per-axis timing: clock reads bracket each axis block on
-        // every kTreeMatchSampleEvery-th pair only (deterministic choice,
-        // so parallel runs sample the same pairs).
-        TreeMatchAccum& obs_accum = t_treematch_accum;  // one TLS lookup
-        const bool obs_sampled = ((i * m + j) % kTreeMatchSampleEvery) == 0;
-        uint64_t obs_mark = obs_sampled ? obs::MonotonicNowNs() : 0;
-        auto obs_lap = [&obs_mark, obs_sampled](uint64_t* into) {
-          if (!obs_sampled) return;
-          const uint64_t now = obs::MonotonicNowNs();
-          *into += now - obs_mark;
-          obs_mark = now;
-        };
-#endif
-
-        // --- Children axis (Eq. 3-5) ---------------------------------
-        if (label_only) {
-          // Degraded mode: the axis is not evaluated at all — its weight
-          // mass was renormalized away above.
-          pair.children = 0.0;
-          pair.coverage = qom::Coverage::kNone;
-          pair.children_all_exact = false;
-        } else if (effective_leaf(s) && effective_leaf(t)) {
-          // Leaves match exactly by default along the children axis (the
-          // constant C of Eq. 2).
-          pair.children = 1.0;
-          pair.coverage = qom::Coverage::kTotal;
-          pair.children_all_exact = true;
-        } else if (effective_leaf(s)) {
-          // No source children to cover: vacuously total, never exact, and
-          // only partial credit (see QMatchConfig).
-          pair.children = config_.leaf_to_inner_children_credit;
-          pair.coverage = qom::Coverage::kTotal;
-          pair.children_all_exact = false;
-        } else if (effective_leaf(t)) {
-          pair.children = 0.0;
-          pair.coverage = qom::Coverage::kNone;
-          pair.children_all_exact = false;
-        } else {
-          const double child_total = static_cast<double>(s->child_count());
-          double qom_sum = 0.0;
-          double matched = 0.0;
-          bool all_exact = true;
-          // Both accumulation modes read every (source child, target child)
-          // table cell, and `matched` counts exactly the children that
-          // contribute — so the memoisation/contribution counters fall out
-          // arithmetically, once per pair, off the inner loops.
-          QMATCH_OBS_ONLY(obs_accum.memo_lookups +=
-                          uint64_t{s->child_count()} * t->child_count();)
-          if (config_.child_accumulation ==
-              QMatchConfig::ChildAccumulation::kBestMatch) {
-            for (const auto& sc : s->children()) {
-              size_t ci = analysis.source_index_.at(sc.get());
-              double best = 0.0;
-              const PairQoM* best_pair = nullptr;
-              for (const auto& tc : t->children()) {
-                size_t cj = analysis.target_index_.at(tc.get());
-                const PairQoM& child_pair = at(ci, cj);
-                if (child_pair.qom > best) {
-                  best = child_pair.qom;
-                  best_pair = &child_pair;
-                }
-              }
-              if (best_pair != nullptr && best >= config_.threshold) {
-                qom_sum += best;
-                matched += 1.0;
-                if (best_pair->category != qom::MatchCategory::kTotalExact) {
-                  all_exact = false;
-                }
-              }
-            }
-          } else {
-            // Paper-literal accumulation: every child pair above threshold
-            // contributes (Fig. 3 pseudo-code).
-            for (const auto& sc : s->children()) {
-              size_t ci = analysis.source_index_.at(sc.get());
-              for (const auto& tc : t->children()) {
-                size_t cj = analysis.target_index_.at(tc.get());
-                const PairQoM& child_pair = at(ci, cj);
-                if (child_pair.qom >= config_.threshold) {
-                  qom_sum += child_pair.qom;
-                  matched += 1.0;
-                  if (child_pair.category !=
-                      qom::MatchCategory::kTotalExact) {
-                    all_exact = false;
-                  }
-                }
-              }
-            }
-          }
-          QMATCH_OBS_ONLY(obs_accum.contributing_children +=
-                          static_cast<uint64_t>(matched);)
-          double rw = qom_sum / child_total;   // Eq. 3
-          double rs = matched / child_total;   // Eq. 4
-          pair.children = std::min(1.0, (rw + rs) / 2.0);  // Eq. 5
-          if (matched <= 0.0) {
-            pair.coverage = qom::Coverage::kNone;
-            all_exact = false;
-          } else if (matched >= child_total) {
-            pair.coverage = qom::Coverage::kTotal;
-          } else {
-            pair.coverage = qom::Coverage::kPartial;
-            all_exact = false;
-          }
-          pair.children_all_exact = all_exact;
-        }
-#if QMATCH_OBS_ENABLED
-        obs_lap(&obs_accum.children_ns);
-#endif
-
-        // --- Label axis -----------------------------------------------
-        lingua::LabelMatch lm = label_match(i, j);
-        pair.label = lm.cls == lingua::LabelMatchClass::kNone ? 0.0 : lm.score;
-        pair.label_cls = ToAxisMatch(lm.cls);
-#if QMATCH_OBS_ENABLED
-        obs_lap(&obs_accum.label_ns);
-#endif
-
-        // --- Properties axis ------------------------------------------
-        match::PropertyMatch pm =
-            match::MatchProperties(*s, *t, config_.property_options);
-        pair.properties = pm.score;
-        pair.properties_cls = ToAxisMatch(pm.cls);
-#if QMATCH_OBS_ENABLED
-        obs_lap(&obs_accum.properties_ns);
-#endif
-
-        // --- Level axis -------------------------------------------------
-        if (s->level() == t->level()) {
-          pair.level = 1.0;
-          pair.level_cls = qom::AxisMatch::kExact;
-        } else {
-          pair.level_cls = qom::AxisMatch::kNone;
-          switch (config_.level_mode) {
-            case QMatchConfig::LevelMode::kBinary:
-              pair.level = 0.0;
-              break;
-            case QMatchConfig::LevelMode::kGraded: {
-              double gap = static_cast<double>(
-                  s->level() > t->level() ? s->level() - t->level()
-                                          : t->level() - s->level());
-              pair.level = 1.0 / (1.0 + gap);
-              break;
-            }
-          }
-        }
-
-#if QMATCH_OBS_ENABLED
-        obs_lap(&obs_accum.level_ns);
-        if (obs_sampled) ++obs_accum.sampled_pairs;
-#endif
-
-        // --- Weighted total (Eq. 1/6) and taxonomy category -------------
-        const qom::Weights& w = weights;
-        pair.qom = w.label * pair.label + w.properties * pair.properties +
-                   w.level * pair.level + w.children * pair.children;
-        pair.category =
-            qom::Categorize(pair.label_cls, pair.properties_cls,
-                            pair.level_cls, pair.coverage,
-                            pair.children_all_exact);
-      }
-    };
-
-#if QMATCH_OBS_ENABLED
-    // Once per completed source row: record the row's recursion depth (the
-    // source node's level — the memo table stands in for the paper's
-    // recursive TreeMatch, so level = recursion depth) and flush the
-    // thread-local axis accumulator to the process registry.
-    auto obs_row_done = [&src](size_t i) {
-      static obs::Histogram& depth_hist = obs::Registry::Global().GetHistogram(
-          "qmatch.treematch.recursion_depth",
-          obs::Histogram::ExponentialBounds(1.0, 2.0, 8),
-          "TreeMatch recursion depth (source node level) per table row");
-      depth_hist.Observe(static_cast<double>(src[i]->level()));
-      t_treematch_accum.Flush();
-    };
-#endif
-
-    // Cooperative stop machinery. `stop` latches the first StopReason any
-    // worker observes; every worker polls it (one relaxed load) per pair,
-    // so a tripped deadline/cancellation drains the fill within one pair
-    // per worker. With no active control the whole block is one branch per
-    // pair and the fill is byte-for-byte the uncontrolled path.
-    const bool controlled = control != nullptr && control->active();
-    std::atomic<int> stop{0};  // 0 = running, else static_cast<int>(StopReason)
-    auto should_stop = [&]() -> bool {
-      if (!controlled) return false;
-      if (stop.load(std::memory_order_relaxed) != 0) return true;
-      const StopReason reason = control->Check();
-      if (reason == StopReason::kNone) return false;
-      int expected = 0;
-      stop.compare_exchange_strong(expected, static_cast<int>(reason),
-                                   std::memory_order_relaxed);
-      return true;
-    };
-    // One full table row; marks the row complete only after every cell is
-    // computed, so partial-result extraction below can trust row_done[i].
-    // The `treematch.pair` failpoint is the chaos suite's hook for making a
-    // single pair slow (kDelay) — which is exactly what the deadline check
-    // must bound.
-    auto fill_row = [&](size_t i) {
-      for (size_t j = m; j-- > 0;) {
-        if (should_stop()) return;
-        compute_pair(i, j);
-        QMATCH_FAILPOINT("treematch.pair");
-      }
-      row_done[i] = 1;
-#if QMATCH_OBS_ENABLED
-      obs_row_done(i);
-#endif
-    };
-
-    if (pool == nullptr || pool->worker_count() == 0) {
-      // Bottom-up over both trees: reverse preorder guarantees all child
-      // pairs are evaluated before their parents (the recursive TreeMatch
-      // of Fig. 3, memoised into an O(n·m) table).
-      for (size_t i = n; i-- > 0;) {
-        if (stop.load(std::memory_order_relaxed) != 0) break;
-        fill_row(i);
-      }
-    } else {
-      // Row-parallel fill, sharded by source *level*: rows within one level
-      // never read each other (a pair depends only on child pairs, and
-      // children live on strictly deeper levels), so levels run deepest
-      // first with a barrier between them and rows fan out inside a level.
-      // Each pair runs the identical arithmetic as the sequential branch,
-      // so the table is bit-identical for any worker count.
-      label_scorer.Precompute();  // freeze the shared token cache (see lingua)
-      size_t max_level = 0;
-      for (const xsd::SchemaNode* s : src) {
-        max_level = std::max(max_level, s->level());
-      }
-      std::vector<std::vector<size_t>> rows_by_level(max_level + 1);
-      for (size_t i = 0; i < n; ++i) {
-        rows_by_level[src[i]->level()].push_back(i);
-      }
-      for (size_t level = max_level + 1; level-- > 0;) {
-        if (stop.load(std::memory_order_relaxed) != 0) break;
-        const std::vector<size_t>& rows = rows_by_level[level];
-        pool->ParallelFor(rows.size(), [&](size_t r) {
-          if (stop.load(std::memory_order_relaxed) != 0) return;
-          fill_row(rows[r]);
-        });
-      }
-    }
-
-    analysis.stop_reason_ =
-        static_cast<StopReason>(stop.load(std::memory_order_relaxed));
-    size_t completed = 0;
-    for (size_t i = 0; i < n; ++i) completed += row_done[i] != 0 ? 1u : 0u;
-    analysis.completed_rows_ = completed;
   }
+  const double* qom = analysis.qom_.get();
+  const uint8_t* label_cls = analysis.label_cls_.get();
+  const std::vector<char>& row_done = analysis.row_done_;
+  // Pairs without label evidence are never reported (see QMatchConfig).
+  auto has_label_evidence = [&](size_t i, size_t j) {
+    return label_cls[static_cast<size_t>(src.label_id[i]) * ml +
+                     tgt.label_id[j]] !=
+           static_cast<uint8_t>(qom::AxisMatch::kNone);
+  };
+#if QMATCH_OBS_ENABLED
+  const uint64_t select_start = obs::MonotonicNowNs();
+#endif
 
   if (analysis.stop_reason_ == StopReason::kNone) {
     // Correspondences: extracted from the QoM table per the configured
     // assignment strategy (default: best target per source node, the set P
-    // evaluated in Section 5). Pairs without label evidence are never
-    // reported (see QMatchConfig).
+    // evaluated in Section 5).
     match::AssignmentInput assignment_input;
-    assignment_input.sources = &src;
-    assignment_input.targets = &tgt;
-    assignment_input.score = [&](size_t i, size_t j) { return at(i, j).qom; };
+    assignment_input.sources = &src.nodes;
+    assignment_input.targets = &tgt.nodes;
+    assignment_input.score = [&](size_t i, size_t j) { return qom[i * m + j]; };
     if (config_.require_label_evidence) {
-      assignment_input.eligible = [&](size_t i, size_t j) {
-        return at(i, j).label_cls != qom::AxisMatch::kNone;
-      };
+      assignment_input.eligible = has_label_evidence;
     }
     assignment_input.threshold = config_.threshold;
     assignment_input.ambiguity_margin = config_.ambiguity_margin;
     analysis.result_.correspondences =
         match::SelectCorrespondences(assignment_input, config_.assignment);
-    analysis.result_.schema_qom = at(0, 0).qom;
+    analysis.result_.schema_qom = qom[0];
+    QMATCH_COUNTER_ADD("qmatch.treematch.select_ns",
+                       obs::MonotonicNowNs() - select_start);
     return analysis;
   }
 
@@ -560,19 +271,19 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
     done_rows.reserve(completed);
     for (size_t i = 0; i < n; ++i) {
       if (row_done[i] != 0) {
-        done_sources.push_back(src[i]);
+        done_sources.push_back(src.nodes[i]);
         done_rows.push_back(i);
       }
     }
     match::AssignmentInput partial_input;
     partial_input.sources = &done_sources;
-    partial_input.targets = &tgt;
+    partial_input.targets = &tgt.nodes;
     partial_input.score = [&](size_t i, size_t j) {
-      return at(done_rows[i], j).qom;
+      return qom[done_rows[i] * m + j];
     };
     if (config_.require_label_evidence) {
       partial_input.eligible = [&](size_t i, size_t j) {
-        return at(done_rows[i], j).label_cls != qom::AxisMatch::kNone;
+        return has_label_evidence(done_rows[i], j);
       };
     }
     partial_input.threshold = config_.threshold;
@@ -582,7 +293,9 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   }
   // The schema-level QoM lives in the root pair, which is computed last;
   // report it only when that row actually finished.
-  if (row_done[0] != 0) analysis.result_.schema_qom = at(0, 0).qom;
+  if (row_done[0] != 0) analysis.result_.schema_qom = qom[0];
+  QMATCH_COUNTER_ADD("qmatch.treematch.select_ns",
+                     obs::MonotonicNowNs() - select_start);
   return analysis;
 }
 
@@ -605,14 +318,12 @@ match::SimilarityMatrix QMatch::Similarity(const xsd::Schema& source,
 match::SimilarityMatrix QMatch::Similarity(const xsd::Schema& source,
                                            const xsd::Schema& target,
                                            ThreadPool* pool) const {
-  Analysis analysis = Analyze(source, target, pool);
-  match::SimilarityMatrix matrix(analysis.source_nodes_,
-                                 analysis.target_nodes_);
-  const size_t m = analysis.target_nodes_.size();
-  for (size_t i = 0; i < analysis.source_nodes_.size(); ++i) {
-    double* row = matrix.row(i);
-    for (size_t j = 0; j < m; ++j) {
-      row[j] = analysis.table_[i * m + j].qom;
+  const Analysis analysis = Analyze(source, target, pool);
+  match::SimilarityMatrix matrix(source, target);
+  if (analysis.qom_ != nullptr) {
+    const size_t m = analysis.target_flat_->size();
+    for (size_t i = 0; i < analysis.total_rows(); ++i) {
+      std::copy_n(analysis.qom_.get() + i * m, m, matrix.row(i));
     }
   }
   return matrix;

@@ -1,7 +1,9 @@
 #ifndef QMATCH_CORE_QMATCH_H_
 #define QMATCH_CORE_QMATCH_H_
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,13 +17,13 @@
 #include "match/soa_kernel.h"
 #include "qom/pair_qom.h"
 #include "qom/taxonomy.h"
+#include "xsd/flatten.h"
 #include "xsd/schema.h"
 
 namespace qmatch::core {
 
-/// The per-node-pair QoM decomposition now lives in the qom layer (both
-/// table-fill kernels produce it); the alias keeps every existing
-/// `core::PairQoM` reference working.
+/// The per-node-pair QoM decomposition lives in the qom layer; the alias
+/// keeps every `core::PairQoM` reference working.
 using PairQoM = qom::PairQoM;
 
 /// Degradation controls for one TreeMatch evaluation (see MatchMode). The
@@ -31,15 +33,9 @@ struct TreeMatchOptions {
   /// kCappedDepth only: nodes at this level or deeper are treated as
   /// leaves on the children axis (their subtrees are not recursed into).
   size_t children_depth_cap = 3;
-  /// Which table-fill implementation runs (DESIGN.md §13). Both produce
-  /// bit-identical tables; unset defers to the QMATCH_KERNEL environment
-  /// variable (default: the SoA kernel). Tests pin it explicitly to gate
-  /// both implementations against the same goldens.
-  std::optional<match::KernelKind> kernel;
-  /// Budget (borrowed, nullable) the SoA kernel's scratch arena charges
+  /// Budget (borrowed, nullable) the kernel's scratch arena charges
   /// block-by-block; exhaustion throws ArenaExhausted, which the engine
-  /// maps to kResourceExhausted. The tree kernel allocates no scratch and
-  /// ignores it.
+  /// maps to kResourceExhausted.
   MemoryBudget* arena_budget = nullptr;
 };
 
@@ -69,7 +65,7 @@ class QMatch : public Matcher {
   QMatch();
   explicit QMatch(QMatchConfig config);
   /// `thesaurus` is borrowed (may be null to disable the linguistic
-  /// resource) and must outlive the matcher.
+  /// resource) and must outlive the matcher and every Analysis it returns.
   QMatch(QMatchConfig config, const lingua::Thesaurus* thesaurus);
 
   std::string_view name() const override { return "hybrid"; }
@@ -101,7 +97,12 @@ class QMatch : public Matcher {
                                      ThreadPool* pool) const;
 
   /// Full per-pair analysis of one match run. The returned object borrows
-  /// nodes from both schemas, which must outlive it.
+  /// nodes and their flattened projections from both schemas, which must
+  /// outlive it unmodified.
+  ///
+  /// It keeps the kernel's compact table (DESIGN.md §13): the weighted QoM
+  /// and category per pair plus the distinct-label class matrix. The
+  /// per-axis values of a pair are recomputed on demand by Pair().
   class Analysis {
    public:
     /// The standard result (schema QoM + correspondences).
@@ -112,17 +113,20 @@ class QMatch : public Matcher {
     /// correspondence vector.
     MatchResult TakeResult() { return std::move(result_); }
 
-    /// The QoM decomposition of a specific node pair, or nullptr when
-    /// either node is not part of the analysed schemas.
-    const PairQoM* Pair(const xsd::SchemaNode* source,
-                        const xsd::SchemaNode* target) const;
+    /// The QoM decomposition of a specific node pair, recomputed from the
+    /// axis functions the kernel uses (bit-identical to the fill), or
+    /// nullopt when either node is not part of the analysed schemas or the
+    /// pair's source row was not completed (a stopped run).
+    std::optional<PairQoM> Pair(const xsd::SchemaNode* source,
+                                const xsd::SchemaNode* target) const;
 
     /// Convenience path-based lookup ("/PO/PurchaseInfo", "/PurchaseOrder").
-    const PairQoM* PairByPath(std::string_view source_path,
-                              std::string_view target_path) const;
+    std::optional<PairQoM> PairByPath(std::string_view source_path,
+                                      std::string_view target_path) const;
 
-    /// The root-pair decomposition (the tree match of Section 3).
-    const PairQoM& Root() const;
+    /// The root-pair decomposition (the tree match of Section 3); all zero
+    /// when the root row was not computed.
+    PairQoM Root() const;
 
     /// Multi-line, human-readable explanation of every reported
     /// correspondence: the per-axis scores and classifications plus the
@@ -143,18 +147,29 @@ class QMatch : public Matcher {
     /// are extracted from these rows only (see DESIGN.md §10 for the
     /// partial-result contract).
     size_t completed_rows() const { return completed_rows_; }
-    size_t total_rows() const { return source_nodes_.size(); }
+    size_t total_rows() const { return row_done_.size(); }
 
    private:
     friend class QMatch;
-    std::vector<const xsd::SchemaNode*> source_nodes_;
-    std::vector<const xsd::SchemaNode*> target_nodes_;
-    std::map<const xsd::SchemaNode*, size_t> source_index_;
-    std::map<const xsd::SchemaNode*, size_t> target_index_;
-    std::vector<PairQoM> table_;  // source-major, size n*m
-    MatchResult result_;
+    /// The name matcher the fill used, plus the node-to-index maps and the
+    /// label scorer Pair() builds on its first call (never on the match
+    /// path).
+    struct Lookup;
+    std::optional<PairQoM> Cell(size_t i, size_t j) const;
+
     const xsd::Schema* source_schema_ = nullptr;
     const xsd::Schema* target_schema_ = nullptr;
+    const xsd::FlatSchema* source_flat_ = nullptr;
+    const xsd::FlatSchema* target_flat_ = nullptr;
+    match::SoaKernelConfig kernel_config_;
+    // The compact table, source-major: n*m QoMs and categories, and the
+    // nl*ml distinct-label classes.
+    std::unique_ptr<double[]> qom_;
+    std::unique_ptr<uint8_t[]> category_;
+    std::unique_ptr<uint8_t[]> label_cls_;
+    std::vector<char> row_done_;
+    std::shared_ptr<Lookup> lookup_;
+    MatchResult result_;
     StopReason stop_reason_ = StopReason::kNone;
     size_t completed_rows_ = 0;
   };
@@ -166,8 +181,9 @@ class QMatch : public Matcher {
   Analysis Analyze(const xsd::Schema& source, const xsd::Schema& target,
                    ThreadPool* pool) const;
 
-  /// Deadline/cancellation-aware variant: `control` (nullable) is polled at
-  /// node-pair granularity during the table fill. When it trips, the fill
+  /// Deadline/cancellation-aware variant: `control` (nullable) is polled
+  /// once per row of the label and property matrices and once per node pair
+  /// during the row fill. When it trips, the fill
   /// stops cooperatively and the returned Analysis carries stop_reason()
   /// plus a *monotone partial result*: correspondences are extracted only
   /// from fully completed source rows, whose cells are bit-identical to the

@@ -2,7 +2,7 @@
 #define QMATCH_MATCH_SOA_KERNEL_H_
 
 #include <cstddef>
-#include <string_view>
+#include <cstdint>
 #include <vector>
 
 #include "common/arena.h"
@@ -15,23 +15,6 @@
 #include "xsd/flatten.h"
 
 namespace qmatch::match {
-
-/// Which pairwise table-fill implementation TreeMatch runs (DESIGN.md §13).
-/// Both produce bit-identical tables — the equivalence the kernel diff
-/// suite and the (kernel-parameterized) golden suite enforce.
-enum class KernelKind {
-  /// The node-at-a-time tree walk in core/qmatch.cc (the reference).
-  kTree,
-  /// The structure-of-arrays batch kernel in this header (the default).
-  kSoa,
-};
-
-std::string_view KernelKindName(KernelKind kind);
-
-/// Kernel selected by the QMATCH_KERNEL environment variable ("tree" or
-/// "soa"); unset or unrecognised values select kSoa. Read per call so
-/// tests can flip it between matches.
-KernelKind DefaultKernel();
 
 /// Everything the SoA fill needs from QMatchConfig, flattened so the match
 /// layer does not depend on core. `weights` must already carry any
@@ -59,23 +42,65 @@ struct SoaKernelResult {
   size_t completed_rows = 0;
 };
 
-/// Fills `table` (source-major, size source.size()*target.size()) with the
-/// per-pair QoM decomposition — bit-identical to the tree walk, cell for
-/// cell, because every axis value is the same pure function evaluated on
-/// the same inputs in the same order; the kernel only *deduplicates*:
-/// label matches are computed once per distinct (source label, target
-/// label), property matches once per distinct packed-descriptor pair, and
-/// level matches once per distinct (source level, target level), then
-/// broadcast through the interned id columns.
+/// The pairwise table the kernel fills (DESIGN.md §13), 9 bytes per pair:
+/// source-major `qom` and `category` columns of source.size()*target.size()
+/// cells — the only two fields a parent row reads back — plus the
+/// distinct-label class matrix (source.labels.size()*target.labels.size()
+/// bytes, qom::AxisMatch values) that selection's label-evidence gate reads
+/// through the flat label ids. Caller-owned; the kernel writes every cell
+/// of a completed row and never reads an incomplete one.
+struct CompactTable {
+  double* qom = nullptr;
+  uint8_t* category = nullptr;
+  uint8_t* label_cls = nullptr;
+};
+
+/// Bytes of the CompactTable for `source` x `target`.
+size_t CompactTableBytes(const xsd::FlatSchema& source,
+                         const xsd::FlatSchema& target);
+
+/// Fills `table` with the weighted QoM and taxonomy category of every node
+/// pair. Each axis is a pure function evaluated on the same inputs in the
+/// same order as the paper's recursive TreeMatch (Fig. 3); the kernel only
+/// *deduplicates*: label matches are computed once per distinct (source
+/// label, target label), property matches once per distinct
+/// packed-descriptor pair, and level matches once per distinct (source
+/// level, target level), then broadcast through the interned id columns in
+/// one fused pass per cell.
 ///
-/// All scratch (similarity matrices, SoA score columns) comes from
-/// `arena`, allocated on the calling thread before any fan-out to `pool`.
-/// `control` (nullable) is polled per pair during the final combine pass;
-/// on a trip the fill stops cooperatively and `row_done` marks exactly the
-/// source rows whose every cell is complete (the monotone-partial contract
-/// of DESIGN.md §10). The `treematch.pair` failpoint fires once per
-/// computed pair, as in the tree walk, so the chaos suite's slow-pair and
-/// deadline scenarios exercise both kernels identically.
+/// All scratch (the distinct-pair score matrices) comes from `arena`,
+/// allocated on the calling thread before any fan-out to `pool`. `control`
+/// (nullable) is polled once per label-matrix row and property-matrix row
+/// (where the `treematch.precompute` failpoint also fires) and once per
+/// pair in the row fill (where `treematch.pair` fires). On a trip the fill
+/// stops cooperatively and `row_done` marks exactly the source rows whose
+/// every cell is complete (the monotone-partial contract of DESIGN.md §10);
+/// a stop during the precompute completes no row.
+SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
+                             const xsd::FlatSchema& target,
+                             const SoaKernelConfig& config,
+                             const CompactTable& table,
+                             std::vector<char>& row_done, ThreadPool* pool,
+                             const ExecControl* control, Arena* arena);
+
+/// The full per-axis decomposition of cell (i, j), recomputed on demand
+/// from the pure axis functions the fill uses: `label` is the pair's
+/// lingua::PairwiseLabelScorer match and `properties` its MatchProperties
+/// result, the level axis is re-evaluated, and the children axis is read
+/// back from the columns of the child rows (which must be complete) by the
+/// helper the row fill calls for every cell. Bit-identical to what the fill
+/// computed for the cell.
+qom::PairQoM DecomposeCell(const xsd::FlatSchema& source,
+                           const xsd::FlatSchema& target,
+                           const SoaKernelConfig& config, size_t i, size_t j,
+                           const lingua::LabelMatch& label,
+                           const PropertyMatch& properties, const double* qom,
+                           const uint8_t* category);
+
+/// Expanded-table form of the fill, kept only for the benchmark's replay
+/// (perfbench/): runs the compact fill above, then expands every cell of
+/// each completed row into `table` through DecomposeCell. Not a second
+/// kernel.
 SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
                              const xsd::FlatSchema& target,
                              const SoaKernelConfig& config,

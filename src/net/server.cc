@@ -11,6 +11,7 @@
 #include <cstring>
 #include <deque>
 #include <future>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -33,7 +34,8 @@ using std::chrono::steady_clock;
 /// Decoded-but-unstarted frames a single connection may queue while one of
 /// its requests executes (responses are written in request order, so
 /// pipelined frames wait their turn). Past the cap each extra frame is
-/// answered with a typed kResourceExhausted — never a dropped connection.
+/// answered with a typed kResourceExhausted, in its place in the request
+/// order — never a dropped connection.
 constexpr size_t kMaxPipelineDepth = 256;
 
 Status ErrnoStatus(const char* what) {
@@ -74,7 +76,12 @@ struct Server::Connection {
   bool replica = false;
   /// Next log sequence this subscriber is owed.
   uint64_t replica_next_seq = 0;
-  std::deque<Frame> pending;
+  /// Decoded requests awaiting their turn, in arrival order. An entry
+  /// without a frame stands for a request refused past kMaxPipelineDepth:
+  /// its typed refusal is answered in order, like any other response.
+  std::deque<std::optional<Frame>> pending;
+  /// Entries of `pending` that hold a frame (the pipeline depth).
+  size_t pending_frames = 0;
   TimerWheel::TimerId idle_timer = 0;
 };
 
@@ -356,7 +363,8 @@ void Server::SetReplicaStatus(uint64_t applied_seq, uint64_t head_seq,
   replica_applied_.store(applied_seq, std::memory_order_relaxed);
   replica_head_.store(head_seq, std::memory_order_relaxed);
   replica_connected_.store(connected, std::memory_order_release);
-  const uint64_t lag = head_seq > applied_seq ? head_seq - applied_seq : 0;
+  QMATCH_OBS_ONLY(const uint64_t lag =
+                      head_seq > applied_seq ? head_seq - applied_seq : 0;)
   QMATCH_GAUGE_SET("replica.lag_records", static_cast<int64_t>(lag));
 }
 
@@ -572,15 +580,12 @@ void Server::ProcessInput(Connection* conn) {
       break;
     }
     conn->in.erase(0, consumed);
-    if (conn->pending.size() >= kMaxPipelineDepth) {
-      const Status status =
-          Status::ResourceExhausted("pipeline depth exceeded");
-      CountOutcome(status);
-      SendFrame(conn, EncodeFrame(MsgType::kErrorResp,
-                                  EncodeErrorResp(MakeHead(status))));
+    if (conn->pending_frames >= kMaxPipelineDepth) {
+      conn->pending.emplace_back(std::nullopt);
       continue;
     }
-    conn->pending.push_back(std::move(frame));
+    conn->pending.emplace_back(std::move(frame));
+    ++conn->pending_frames;
   }
   conn = FindConnection(conn_id);
   if (conn == nullptr) return;
@@ -656,9 +661,18 @@ void Server::MaybeDispatchNext(Connection* conn) {
   // Responses go out in request order: one executing request per
   // connection; cheap requests answer inline and the loop continues.
   while (!conn->busy && !conn->pending.empty() && !conn->closing) {
-    Frame frame = std::move(conn->pending.front());
+    std::optional<Frame> frame = std::move(conn->pending.front());
     conn->pending.pop_front();
-    DispatchFrame(conn, std::move(frame));
+    if (!frame.has_value()) {
+      const Status status =
+          Status::ResourceExhausted("pipeline depth exceeded");
+      CountOutcome(status);
+      SendFrame(conn, EncodeFrame(MsgType::kErrorResp,
+                                  EncodeErrorResp(MakeHead(status))));
+      continue;
+    }
+    --conn->pending_frames;
+    DispatchFrame(conn, std::move(*frame));
   }
 }
 
@@ -1146,7 +1160,7 @@ std::shared_ptr<const xsd::Schema> Server::LookupSchema(
 
 void Server::ExecuteSubmitSchema(uint64_t conn_id, SubmitSchemaReq req) {
   QMATCH_SPAN(span, "net.submit_schema");
-  const steady_clock::time_point start = steady_clock::now();
+  QMATCH_OBS_ONLY(const steady_clock::time_point start = steady_clock::now();)
   SubmitSchemaResp resp;
   xsd::ParseOptions parse = options_.parse;
   parse.schema_name = req.name;
@@ -1183,7 +1197,7 @@ void Server::ExecuteSubmitSchema(uint64_t conn_id, SubmitSchemaReq req) {
 
 void Server::ExecuteMatchPair(uint64_t conn_id, MatchPairReq req) {
   QMATCH_SPAN(span, "net.match_pair");
-  const steady_clock::time_point start = steady_clock::now();
+  QMATCH_OBS_ONLY(const steady_clock::time_point start = steady_clock::now();)
   MatchPairResp resp;
   const std::shared_ptr<const xsd::Schema> source = LookupSchema(req.source);
   const std::shared_ptr<const xsd::Schema> target = LookupSchema(req.target);
@@ -1220,7 +1234,7 @@ void Server::ExecuteMatchPair(uint64_t conn_id, MatchPairReq req) {
 
 void Server::ExecuteMatchCorpus(uint64_t conn_id, MatchCorpusReq req) {
   QMATCH_SPAN(span, "net.match_corpus");
-  const steady_clock::time_point start = steady_clock::now();
+  QMATCH_OBS_ONLY(const steady_clock::time_point start = steady_clock::now();)
   MatchCorpusResp resp;
   const std::shared_ptr<const xsd::Schema> query = LookupSchema(req.query);
   if (query == nullptr) {

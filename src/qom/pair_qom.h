@@ -11,11 +11,10 @@ namespace qmatch::qom {
 /// the qualitative classification of each axis, and the resulting taxonomy
 /// category and weighted total (paper Sections 2-3).
 ///
-/// Lives in the qom layer (not core) because it is the cell type of the
-/// pairwise table that both table-fill implementations produce: the
-/// node-at-a-time tree walk in core/qmatch and the structure-of-arrays
-/// batch kernel in match/soa_kernel. `core::PairQoM` aliases this type, so
-/// existing callers are unaffected.
+/// Lives in the qom layer (not core) because both match/soa_kernel, which
+/// recomputes it for one cell on demand, and core/qmatch, which returns it
+/// from Analysis::Pair, use it; the kernel's table keeps only `qom` and
+/// `category`. `core::PairQoM` aliases this type.
 struct PairQoM {
   double label = 0.0;
   double properties = 0.0;

@@ -38,6 +38,7 @@
 #include "fault/failpoint.h"
 #include "obs/obs.h"
 #include "test_util.h"
+#include "xsd/flatten.h"
 
 #ifndef QMATCH_SOURCE_DIR
 #error "build must define QMATCH_SOURCE_DIR (see tests/CMakeLists.txt)"
@@ -190,6 +191,7 @@ TEST_F(ChaosEngineTest, SeededFaultSchedulesAlwaysReturnTypedStatuses) {
         {"engine.cache.store", 0.4, false, false},
         {"treematch.pair", 0.5, true, true},
         {"threadpool.task", 0.3, true, false},
+        {"treematch.precompute", 0.4, true, true},
     };
     for (const SiteSpec& site : kSites) {
       if (!rng.Bernoulli(site.arm_probability)) continue;
@@ -323,6 +325,76 @@ TEST_F(ChaosEngineTest, DeadlineIsHonoredWithinSlack) {
     EXPECT_LE(elapsed, budget + kDeadlineSlack)
         << "threads=" << threads << ": request overran its deadline";
   }
+}
+
+TEST_F(ChaosEngineTest, DeadlineIsHonoredDuringPrecomputeAtProteinScale) {
+  // The label and property matrices poll the deadline once per row, so a
+  // Protein-scale match (PIR 231 x PDB 3753, ~70 ms of label matrix alone)
+  // with a 1 ms deadline comes back within the slack on both drivers.
+  const datagen::MatchTask* protein = nullptr;
+  for (const datagen::MatchTask& task : datagen::Tasks()) {
+    if (task.name == "Protein") protein = &task;
+  }
+  ASSERT_NE(protein, nullptr);
+  const xsd::Schema source = protein->source();
+  const xsd::Schema target = protein->target();
+  // Flattened up front, so the deadline lands in the kernel.
+  (void)source.Flat();
+  (void)target.Flat();
+  for (size_t threads : {1u, 4u}) {
+    MatchEngine engine(EngineOptions(threads));
+    EngineRequestOptions options;
+    const milliseconds budget{1};
+    options.deadline = Deadline::After(budget);
+    const steady_clock::time_point start = steady_clock::now();
+    const EngineMatchResult result = engine.Match(source, target, options);
+    const auto elapsed = steady_clock::now() - start;
+    EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded)
+        << "threads=" << threads;
+    EXPECT_LT(result.completed_rows, result.total_rows);
+    EXPECT_LE(elapsed, budget + kDeadlineSlack)
+        << "threads=" << threads << ": precompute overran its deadline";
+  }
+}
+
+TEST_F(ChaosEngineTest, SlowPrecomputeIsCutOffByTheDeadline) {
+  // A 5ms delay per label/property matrix row makes the precompute alone
+  // take far longer than the deadline; the request must stop inside the
+  // precompute (no row filled) within the slack bound, sequentially and
+  // with the label rows fanned out across the pool. The deadline scales
+  // with sanitizers so that each driver reaches its first matrix row.
+  datagen::GeneratorOptions gen;
+  gen.seed = 52;
+  gen.element_count = 300;
+  gen.name = "ChaosPrecompute";
+  const xsd::Schema source = datagen::GenerateSchema(gen);
+  gen.seed = 53;
+  const xsd::Schema target = datagen::GenerateSchema(gen);
+  // Enough distinct labels that the pool path fans label rows out.
+  ASSERT_GE(source.Flat().labels.size() * target.Flat().labels.size(),
+            4096u);
+
+  fault::FaultSpec spec;
+  spec.action = fault::FaultAction::kDelay;
+  spec.delay = milliseconds(5);
+  fault::ScopedFailpoint armed("treematch.precompute", spec);
+
+  for (size_t threads : {1u, 4u}) {
+    MatchEngine engine(EngineOptions(threads));
+    EngineRequestOptions options;
+    const milliseconds budget = qmatch::test::Scaled(milliseconds(30));
+    options.deadline = Deadline::After(budget);
+    const steady_clock::time_point start = steady_clock::now();
+    const EngineMatchResult result = engine.Match(source, target, options);
+    const auto elapsed = steady_clock::now() - start;
+    EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded)
+        << "threads=" << threads;
+    EXPECT_EQ(result.completed_rows, 0u) << "threads=" << threads;
+    EXPECT_TRUE(result.result.correspondences.empty());
+    EXPECT_LE(elapsed, budget + kDeadlineSlack)
+        << "threads=" << threads << ": precompute overran its deadline";
+  }
+  EXPECT_GE(armed.stats().fires, 2u);
 }
 
 TEST_F(ChaosEngineTest, CancellationStopsPromptlyWithMonotonePartial) {

@@ -157,7 +157,6 @@ TEST(ArenaTest, EngineMapsArenaExhaustionToResourceExhausted) {
   options.cache_capacity = 0;
   core::MatchEngine engine(options);
 
-  ::setenv("QMATCH_KERNEL", "soa", 1);
   fault::FaultSpec spec;
   spec.action = fault::FaultAction::kError;
   {
@@ -170,7 +169,6 @@ TEST(ArenaTest, EngineMapsArenaExhaustionToResourceExhausted) {
   // Disarmed, the same request succeeds.
   core::EngineMatchResult ok = engine.Match(source, target, {});
   EXPECT_TRUE(ok.ok()) << ok.status.ToString();
-  ::unsetenv("QMATCH_KERNEL");
 }
 #endif  // QMATCH_FAULT_ENABLED
 

@@ -13,12 +13,15 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/file_util.h"
 #include "core/qmatch.h"
 #include "fault/failpoint.h"
+#include "match/soa_kernel.h"
+#include "xsd/flatten.h"
 #include "xsd/parser.h"
 
 namespace qmatch::core {
@@ -67,10 +70,10 @@ TEST(OverloadDegradationTest, LabelOnlyMatchesFullOnCheapAxesBitIdentically) {
   size_t compared = 0;
   for (const xsd::SchemaNode* s : source.AllNodes()) {
     for (const xsd::SchemaNode* t : target.AllNodes()) {
-      const PairQoM* f = full.Pair(s, t);
-      const PairQoM* d = degraded.Pair(s, t);
-      ASSERT_NE(f, nullptr);
-      ASSERT_NE(d, nullptr);
+      const std::optional<PairQoM> f = full.Pair(s, t);
+      const std::optional<PairQoM> d = degraded.Pair(s, t);
+      ASSERT_TRUE(f.has_value());
+      ASSERT_TRUE(d.has_value());
       EXPECT_TRUE(BitEqual(f->label, d->label))
           << s->Path() << " x " << t->Path();
       EXPECT_TRUE(BitEqual(f->properties, d->properties))
@@ -98,7 +101,7 @@ TEST(OverloadDegradationTest, LabelOnlyWeightsAreRenormalized) {
       matcher.Analyze(source, target, nullptr, nullptr, opts);
   // Eq. 6/7 renormalization: w' = w / (WL + WP + WH), so the root pair's
   // QoM is the renormalized weighted sum of its three remaining axes.
-  const PairQoM& root = degraded.Root();
+  const PairQoM root = degraded.Root();
   const double rest = 0.3 + 0.2 + 0.1;
   const double expected = (0.3 / rest) * root.label +
                           (0.2 / rest) * root.properties +
@@ -121,10 +124,10 @@ TEST(OverloadDegradationTest, CappedDepthTreatsDeepNodesAsLeaves) {
   QMatch::Analysis full = matcher.Analyze(source, target);
   for (const xsd::SchemaNode* s : source.AllNodes()) {
     for (const xsd::SchemaNode* t : target.AllNodes()) {
-      const PairQoM* f = full.Pair(s, t);
-      const PairQoM* c = capped.Pair(s, t);
-      ASSERT_NE(f, nullptr);
-      ASSERT_NE(c, nullptr);
+      const std::optional<PairQoM> f = full.Pair(s, t);
+      const std::optional<PairQoM> c = capped.Pair(s, t);
+      ASSERT_TRUE(f.has_value());
+      ASSERT_TRUE(c.has_value());
       EXPECT_TRUE(BitEqual(f->label, c->label));
       EXPECT_TRUE(BitEqual(f->properties, c->properties));
       EXPECT_TRUE(BitEqual(f->level, c->level));
@@ -160,6 +163,41 @@ TEST(OverloadEngineTest, RequestBudgetExhaustionIsTyped) {
   EngineMatchResult out = engine.Match(source, target, EngineRequestOptions{});
   EXPECT_EQ(out.status.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(out.result.correspondences.empty());
+}
+
+TEST(OverloadEngineTest, CompactTableChargeAdmitsProteinUnderTheOldCharge) {
+  // The request is charged the kernel's real table (9 bytes per pair plus
+  // the distinct-label class matrix), not 64-byte PairQoM cells: a budget
+  // just below the old n·m·sizeof(PairQoM) charge now admits PIR x PDB,
+  // while a budget below the compact charge still rejects it typed.
+  const xsd::Schema source = LoadSchema("PIR.xsd");
+  const xsd::Schema target = LoadSchema("PDB.xsd");
+  const uint64_t pairs = source.NodeCount() * target.NodeCount();
+  const uint64_t old_charge = pairs * sizeof(PairQoM);
+  const uint64_t compact_charge =
+      match::CompactTableBytes(source.Flat(), target.Flat());
+  ASSERT_LT(compact_charge, old_charge / 4);
+
+  MatchEngineOptions options;
+  options.threads = 1;
+  options.cache_capacity = 0;
+  options.overload.request_budget_bytes = old_charge - 1;
+  {
+    MatchEngine engine(options);
+    EngineMatchResult out =
+        engine.Match(source, target, EngineRequestOptions{});
+    ASSERT_TRUE(out.ok()) << out.status;
+    EXPECT_EQ(out.completed_rows, out.total_rows);
+    EXPECT_FALSE(out.result.correspondences.empty());
+  }
+  options.overload.request_budget_bytes = compact_charge - 1;
+  {
+    MatchEngine engine(options);
+    EngineMatchResult out =
+        engine.Match(source, target, EngineRequestOptions{});
+    EXPECT_EQ(out.status.code(), StatusCode::kResourceExhausted);
+    EXPECT_TRUE(out.result.correspondences.empty());
+  }
 }
 
 TEST(OverloadEngineTest, ProcessBudgetIsSharedAcrossRequests) {

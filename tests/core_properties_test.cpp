@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/qmatch.h"
 #include "datagen/generator.h"
 #include "datagen/perturb.h"
@@ -48,8 +50,8 @@ TEST_P(QMatchPropertyTest, AllScoresBounded) {
   QMatch::Analysis analysis = matcher.Analyze(source, target);
   for (const xsd::SchemaNode* s : source.AllNodes()) {
     for (const xsd::SchemaNode* t : target.AllNodes()) {
-      const PairQoM* pair = analysis.Pair(s, t);
-      ASSERT_NE(pair, nullptr);
+      const std::optional<PairQoM> pair = analysis.Pair(s, t);
+      ASSERT_TRUE(pair.has_value());
       for (double v : {pair->qom, pair->label, pair->properties, pair->level,
                        pair->children}) {
         EXPECT_GE(v, 0.0);

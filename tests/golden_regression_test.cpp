@@ -3,10 +3,10 @@
 // on the five paper domains are snapshotted under data/expected/*.qom.
 // Any behaviour change — intended or not — shows up as a readable diff.
 //
-// Every snapshot is checked against *both* table-fill kernels (the
-// node-at-a-time tree walk and the SoA batch kernel of DESIGN.md §13),
-// pinned explicitly per test: one golden file gates two implementations,
-// which is the bit-identity contract expressed as a regression suite.
+// Every snapshot gates two implementations: the test-only recursive Fig. 3
+// oracle (qmatch_oracle.h) writes it under --update-golden, and the
+// production kernel (DESIGN.md §13) is always checked against it — the
+// bit-identity contract expressed as a regression suite.
 //
 // To regenerate after an *intentional* scoring change:
 //   ./golden_regression_test --update-golden
@@ -16,7 +16,6 @@
 
 #include <cstdio>
 #include <string>
-#include <tuple>
 
 #include "common/file_util.h"
 #include "common/string_util.h"
@@ -24,7 +23,7 @@
 #include "datagen/corpus.h"
 #include "datagen/generator.h"
 #include "eval/metrics.h"
-#include "match/soa_kernel.h"
+#include "qmatch_oracle.h"
 
 #ifndef QMATCH_SOURCE_DIR
 #error "build must define QMATCH_SOURCE_DIR (see tests/CMakeLists.txt)"
@@ -41,16 +40,6 @@ namespace {
 std::string GoldenPath(const std::string& task_name) {
   return std::string(QMATCH_SOURCE_DIR) + "/data/expected/" + task_name +
          ".qom";
-}
-
-/// One full match run with the table-fill kernel pinned explicitly.
-MatchResult MatchWithKernel(const xsd::Schema& source,
-                            const xsd::Schema& target,
-                            match::KernelKind kernel) {
-  const core::QMatch matcher;
-  core::TreeMatchOptions tree;
-  tree.kernel = kernel;
-  return matcher.Analyze(source, target, nullptr, nullptr, tree).TakeResult();
 }
 
 /// Renders the observable outcome of one match run. Scores print with 12
@@ -105,39 +94,41 @@ void CheckGolden(const std::string& task_name, const std::string& snapshot,
       << "data/expected diff";
 }
 
-using GoldenParam = std::tuple<size_t, match::KernelKind>;
-
-class GoldenRegressionTest : public testing::TestWithParam<GoldenParam> {};
-
-TEST_P(GoldenRegressionTest, MatchesSnapshot) {
-  const auto [task_index, kernel] = GetParam();
-  const datagen::MatchTask& task = datagen::Tasks()[task_index];
-  const xsd::Schema source = task.source();
-  const xsd::Schema target = task.target();
-  const MatchResult result = MatchWithKernel(source, target, kernel);
-  const eval::QualityMetrics metrics = eval::Evaluate(result, task.gold());
-  // Only one kernel writes under --update-golden; the other still *checks*,
-  // so a golden a kernel cannot reproduce fails the update run itself.
-  const bool writer = kernel == match::KernelKind::kTree;
+/// The oracle's snapshot is written under --update-golden (or checked);
+/// the kernel's is always checked, so a golden the kernel cannot reproduce
+/// fails the update run itself.
+void CheckOracleAndKernel(const std::string& task_name,
+                          const std::string& oracle_snapshot,
+                          const std::string& kernel_snapshot) {
+  CheckGolden(task_name, oracle_snapshot, "oracle");
   const bool saved = g_update_golden;
-  if (!writer) g_update_golden = false;
-  CheckGolden(task.name,
-              Snapshot(task.name, source, target, result, &metrics),
-              std::string("kernel=") + std::string(KernelKindName(kernel)));
+  g_update_golden = false;
+  CheckGolden(task_name, kernel_snapshot, "kernel");
   g_update_golden = saved;
 }
 
-std::string GoldenName(const testing::TestParamInfo<GoldenParam>& info) {
-  return datagen::Tasks()[std::get<0>(info.param)].name + "_" +
-         std::string(match::KernelKindName(std::get<1>(info.param)));
+class GoldenRegressionTest : public testing::TestWithParam<size_t> {};
+
+TEST_P(GoldenRegressionTest, MatchesSnapshot) {
+  const datagen::MatchTask& task = datagen::Tasks()[GetParam()];
+  const xsd::Schema source = task.source();
+  const xsd::Schema target = task.target();
+  const MatchResult oracle = test::QMatchOracle().Run(source, target).result;
+  const MatchResult kernel = core::QMatch().Match(source, target);
+  const eval::QualityMetrics oracle_metrics =
+      eval::Evaluate(oracle, task.gold());
+  const eval::QualityMetrics kernel_metrics =
+      eval::Evaluate(kernel, task.gold());
+  CheckOracleAndKernel(
+      task.name, Snapshot(task.name, source, target, oracle, &oracle_metrics),
+      Snapshot(task.name, source, target, kernel, &kernel_metrics));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PaperDomains, GoldenRegressionTest,
-    testing::Combine(testing::Range<size_t>(0, 5),
-                     testing::Values(match::KernelKind::kTree,
-                                     match::KernelKind::kSoa)),
-    GoldenName);
+    PaperDomains, GoldenRegressionTest, testing::Range<size_t>(0, 5),
+    [](const testing::TestParamInfo<size_t>& info) {
+      return datagen::Tasks()[info.param].name;
+    });
 
 TEST(GoldenRegressionSetupTest, CoversTheFivePaperDomains) {
   ASSERT_EQ(datagen::Tasks().size(), 5u);
@@ -148,10 +139,9 @@ TEST(GoldenRegressionSetupTest, CoversTheFivePaperDomains) {
 
 TEST(GoldenRegressionTest, GeneratedProteinScalePair) {
   // Seed-pinned synthetic pair at the paper's Protein shape (231-element
-  // source vs 3753-element target, protein vocabulary) — the SoA kernel's
+  // source vs 3753-element target, protein vocabulary) — the kernel's
   // headline workload, snapshotted so scoring regressions at scale are
-  // caught even where no hand-made gold standard exists. Both kernels gate
-  // against the same file.
+  // caught even where no hand-made gold standard exists.
   datagen::GeneratorOptions small;
   small.seed = 20260808;
   small.element_count = 231;
@@ -167,17 +157,12 @@ TEST(GoldenRegressionTest, GeneratedProteinScalePair) {
   const xsd::Schema source = datagen::GenerateSchema(small);
   const xsd::Schema target = datagen::GenerateSchema(big);
 
-  const MatchResult tree =
-      MatchWithKernel(source, target, match::KernelKind::kTree);
-  const std::string snapshot =
-      Snapshot("GeneratedProteinScale", source, target, tree, nullptr);
-  CheckGolden("GeneratedProteinScale", snapshot, "kernel=tree");
-
-  const MatchResult soa =
-      MatchWithKernel(source, target, match::KernelKind::kSoa);
-  EXPECT_EQ(Snapshot("GeneratedProteinScale", source, target, soa, nullptr),
-            snapshot)
-      << "SoA kernel diverged from the tree walk at Protein scale";
+  CheckOracleAndKernel(
+      "GeneratedProteinScale",
+      Snapshot("GeneratedProteinScale", source, target,
+               test::QMatchOracle().Run(source, target).result, nullptr),
+      Snapshot("GeneratedProteinScale", source, target,
+               core::QMatch().Match(source, target), nullptr));
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 
 #include "core/engine.h"
 #include "datagen/corpus.h"
+#include "fault/failpoint.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
@@ -480,6 +481,75 @@ TEST_F(LoopbackTest, PipelinedRequestsAnswerInRequestOrder) {
     EXPECT_EQ(frame->type, expected);
   }
 }
+
+#if QMATCH_FAULT_ENABLED
+TEST_F(LoopbackTest, PipelineOverflowIsAnsweredInRequestOrder) {
+  // A MatchPair slowed by a treematch.pair delay keeps the connection busy
+  // while far more than the server's pipeline depth (256 queued frames)
+  // arrives behind it. Every answer must pair with its own request: the
+  // match first, then each queued request's own response type, and the
+  // typed overflow refusals exactly in the places of the requests that
+  // overflowed — never ahead of the earlier requests still pending.
+  constexpr size_t kPipelineDepth = 256;
+  constexpr size_t kBehind = 400;
+  Client client = Connect();
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.SubmitSchema(CorpusName(0), CorpusXsd(0))->head.ok());
+  ASSERT_TRUE(client.SubmitSchema(CorpusName(1), CorpusXsd(1))->head.ok());
+
+  fault::FaultSpec slow;
+  slow.action = fault::FaultAction::kDelay;
+  slow.delay = test::Scaled(std::chrono::milliseconds(300));
+  slow.fire_on_nth_hit = 1;
+  fault::ScopedFailpoint armed("treematch.pair", slow);
+
+  // The match goes first, alone; the burst follows once it is executing
+  // (its first pair hit the failpoint), so all of it queues behind it.
+  const MatchPairReq pair{CorpusName(0), CorpusName(1), 0};
+  ASSERT_TRUE(client
+                  .SendBytes(EncodeFrame(MsgType::kMatchPair,
+                                         EncodeMatchPairReq(pair)))
+                  .ok());
+  for (int i = 0; i < 1000 && armed.stats().hits == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(armed.stats().hits, 1u);
+  std::string burst;
+  std::vector<MsgType> answers = {MsgType::kMatchPairResp};
+  for (size_t k = 0; k < kBehind; ++k) {
+    // Alternate two inline request types so a shifted answer shows.
+    const bool health = k % 2 == 0;
+    burst += EncodeFrame(health ? MsgType::kHealth : MsgType::kRole, "");
+    answers.push_back(health ? MsgType::kHealthResp : MsgType::kRoleResp);
+  }
+  ASSERT_TRUE(client.SendBytes(burst).ok());
+
+  size_t refused = 0;
+  for (size_t k = 0; k < answers.size(); ++k) {
+    Result<Frame> frame = client.ReadFrame();
+    ASSERT_TRUE(frame.ok()) << "answer " << k << ": "
+                            << frame.status().ToString();
+    if (k > kPipelineDepth) {
+      // Beyond the depth: the request's place gets the typed refusal.
+      ASSERT_EQ(frame->type, static_cast<uint32_t>(MsgType::kErrorResp))
+          << "answer " << k;
+      ResponseHead head;
+      ASSERT_TRUE(DecodeResponseHead(frame->payload, &head));
+      EXPECT_EQ(head.status_code(), StatusCode::kResourceExhausted);
+      ++refused;
+      continue;
+    }
+    ASSERT_EQ(frame->type, static_cast<uint32_t>(answers[k]))
+        << "answer " << k << " does not belong to request " << k;
+  }
+  EXPECT_EQ(refused, kBehind - kPipelineDepth);
+  EXPECT_EQ(armed.stats().fires, 1u);
+  // The connection still works after the overflow drained.
+  Result<StatsResp> stats = client.GetStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats->head.ok());
+}
+#endif  // QMATCH_FAULT_ENABLED
 
 TEST_F(LoopbackTest, HttpGetServesOneShotPrometheusScrape) {
   Client client = Connect();
