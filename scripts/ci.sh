@@ -40,17 +40,18 @@ run_default() {
 
 run_tsan() {
   # ThreadSanitizer: the parallel engine, thread pool (incl. the soak
-  # layer), and the sharded metric/tracer paths must be race-free. Only the
-  # concurrency-relevant tests run here — TSan slows everything ~10x, and
-  # the rest of the suite is single-threaded.
+  # layer), the sharded metric/tracer paths and the server's worker->loop
+  # request handoff must be race-free. Only the concurrency-relevant tests
+  # run here — TSan slows everything ~10x, and the rest of the suite is
+  # single-threaded.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DQMATCH_SANITIZE=thread
   cmake --build build-tsan -j "${JOBS}" \
         --target common_thread_pool_test common_thread_pool_soak_test \
-                 core_engine_test obs_test
+                 core_engine_test obs_test net_protocol_test
   TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure \
-        -R 'common_thread_pool_test|common_thread_pool_soak_test|core_engine_test|obs_test'
+        -R 'common_thread_pool_test|common_thread_pool_soak_test|core_engine_test|obs_test|net_protocol_test'
 }
 
 run_asan() {

@@ -616,9 +616,9 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
   MatchMode mode = MatchMode::kFull;
   if (options.force_mode.has_value()) {
     mode = *options.force_mode;
-  } else if (pressure >= overload.label_only_pressure) {
+  } else if (pressure >= kLabelOnlyPressure) {
     mode = MatchMode::kLabelOnly;
-  } else if (pressure >= overload.capped_depth_pressure) {
+  } else if (pressure >= kCappedDepthPressure) {
     mode = MatchMode::kCappedDepth;
   }
   if (mode == MatchMode::kCappedDepth) {

@@ -25,6 +25,13 @@
 
 namespace qmatch::core {
 
+/// Degradation ladder thresholds on the pressure signal (max of admission
+/// pressure and process-budget watermark, in [0, 1]): pressure >=
+/// kCappedDepthPressure degrades to kCappedDepth, >= kLabelOnlyPressure to
+/// kLabelOnly (DESIGN.md §11).
+inline constexpr double kCappedDepthPressure = 0.75;
+inline constexpr double kLabelOnlyPressure = 0.90;
+
 /// Overload-protection knobs: admission control, memory budgets and the
 /// pressure-driven degradation ladder. Every default leaves the mechanism
 /// off, so an unconfigured engine behaves bit-identically to one built
@@ -40,14 +47,6 @@ struct OverloadOptions {
   /// Per-request memory budget, charged into the process budget
   /// (0 = unlimited). Bounds one request's pairwise table + parse arena.
   uint64_t request_budget_bytes = 0;
-
-  /// Degradation ladder thresholds on the pressure signal
-  /// (max of admission pressure and process-budget watermark, in [0, 1]):
-  /// pressure >= capped_depth_pressure degrades to kCappedDepth,
-  /// >= label_only_pressure to kLabelOnly. A threshold > 1 disables that
-  /// rung.
-  double capped_depth_pressure = 0.75;
-  double label_only_pressure = 0.90;
 
   /// Subtree-depth cap of the kCappedDepth rung (see TreeMatchOptions).
   size_t children_depth_cap = 3;
@@ -204,7 +203,7 @@ struct CorpusMatchResult {
 ///     hash), so repeated queries against a repository skip recomputation.
 ///
 /// The engine is itself a `Matcher`, so it drops into every API that
-/// consumes one (eval::RankSchemas, the composite matcher, the CLI).
+/// consumes one (the composite matcher, the CLI).
 /// All public methods are safe to call concurrently.
 class MatchEngine : public Matcher {
  public:

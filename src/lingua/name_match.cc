@@ -193,9 +193,10 @@ PairwiseLabelScorer::PairwiseLabelScorer(
   token_exact_cache_.assign(token_sim_cache_.size(), 0);
 }
 
-void PairwiseLabelScorer::Precompute() {
+void PairwiseLabelScorer::Precompute(const std::function<bool()>& should_stop) {
   bool exact = false;
   for (size_t s = 0; s < source_tokens_.size(); ++s) {
+    if (should_stop && should_stop()) return;
     for (size_t t = 0; t < target_tokens_.size(); ++t) {
       CachedTokenSimilarity(s, t, &exact);
     }

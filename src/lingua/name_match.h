@@ -1,6 +1,7 @@
 #ifndef QMATCH_LINGUA_NAME_MATCH_H_
 #define QMATCH_LINGUA_NAME_MATCH_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,7 +107,10 @@ class PairwiseLabelScorer {
   /// Eagerly fills the whole token-similarity cache. After this call
   /// `Match` performs no writes, so concurrent calls from many threads are
   /// safe (the parallel table fill calls this once before fanning out).
-  void Precompute();
+  /// `should_stop`, when set, is polled once per source token; the pass
+  /// returns early once it answers true, leaving the cache incomplete (and
+  /// `Match` then unsafe to call concurrently).
+  void Precompute(const std::function<bool()>& should_stop = {});
 
  private:
   struct InternedLabel {

@@ -282,8 +282,14 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   if (pool != nullptr && pool->worker_count() > 0 && nl * ml >= 4096) {
     // Each cell is a pure function of its label pair, so a parallel fill
     // is bit-identical to the sequential one for any worker count.
-    scorer.Precompute();
-    pool->ParallelFor(nl, fill_label_row);
+    // The token pass runs on this thread alone, so it polls (and fires
+    // the precompute failpoint) per source token, like a label row.
+    scorer.Precompute([&]() {
+      if (should_stop()) return true;
+      QMATCH_FAILPOINT("treematch.precompute");
+      return false;
+    });
+    if (!stopped()) pool->ParallelFor(nl, fill_label_row);
   } else {
     for (size_t a = 0; a < nl && !stopped(); ++a) fill_label_row(a);
   }

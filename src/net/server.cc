@@ -38,8 +38,28 @@ using std::chrono::steady_clock;
 /// order — never a dropped connection.
 constexpr size_t kMaxPipelineDepth = 256;
 
+/// Max records per pushed kReplicaRecords frame.
+constexpr size_t kReplicaBatchRecords = 512;
+
 Status ErrnoStatus(const char* what) {
   return Status::IoError(std::string(what) + ": " + std::strerror(errno));
+}
+
+/// Worker-pool request types in Server::WorkerRequest order: the name in
+/// decode refusals, and the span covering the execution.
+constexpr const char* kWorkerNames[] = {"SubmitSchema", "MatchPair",
+                                        "MatchCorpus"};
+[[maybe_unused]] constexpr const char* kWorkerSpans[] = {
+    "net.submit_schema", "net.match_pair", "net.match_corpus"};
+
+std::string ResponseFrame(const SubmitSchemaResp& resp) {
+  return EncodeFrame(MsgType::kSubmitSchemaResp, EncodeSubmitSchemaResp(resp));
+}
+std::string ResponseFrame(const MatchPairResp& resp) {
+  return EncodeFrame(MsgType::kMatchPairResp, EncodeMatchPairResp(resp));
+}
+std::string ResponseFrame(const MatchCorpusResp& resp) {
+  return EncodeFrame(MsgType::kMatchCorpusResp, EncodeMatchCorpusResp(resp));
 }
 
 }  // namespace
@@ -370,24 +390,31 @@ void Server::SetReplicaStatus(uint64_t applied_seq, uint64_t head_seq,
 
 Status Server::RegisterSchema(const std::string& name,
                               std::string_view xsd_text, bool replicated) {
+  return AddSchema(name, xsd_text, replicated).status();
+}
+
+Result<std::shared_ptr<const xsd::Schema>> Server::AddSchema(
+    const std::string& name, std::string_view xsd_text, bool replicated) {
   if (name.empty()) {
     return Status::InvalidArgument("schema name must be non-empty");
   }
   xsd::ParseOptions parse = options_.parse;
   parse.schema_name = name;
-  Result<xsd::Schema> schema = xsd::ParseSchema(xsd_text, parse);
-  if (!schema.ok()) return schema.status();
-  auto shared = std::make_shared<const xsd::Schema>(std::move(*schema));
-  {
-    std::lock_guard<std::mutex> lock(schemas_mutex_);
-    schemas_[name] = SchemaEntry{std::move(shared), std::string(xsd_text)};
-  }
-  // A replicated registration must not echo back into the stream — the
-  // standby applies records, it does not originate them.
+  Result<xsd::Schema> parsed = xsd::ParseSchema(xsd_text, parse);
+  if (!parsed.ok()) return parsed.status();
+  auto schema = std::make_shared<const xsd::Schema>(std::move(*parsed));
+  std::lock_guard<std::mutex> lock(schemas_mutex_);
+  SchemaEntry& entry = schemas_[name];
+  entry = SchemaEntry{schema, std::string(xsd_text)};
+  // Logged inside the critical section that stores it: two revisions of
+  // one name reach the replication log in the order they were stored, so
+  // a last-wins standby serves what the primary serves. A replicated
+  // registration must not echo back into the stream — the standby applies
+  // records, it does not originate them.
   if (!replicated && options_.schema_observer) {
-    options_.schema_observer(name, std::string(xsd_text));
+    options_.schema_observer(name, entry.xsd_text);
   }
-  return Status::OK();
+  return schema;
 }
 
 size_t Server::schema_count() const {
@@ -664,11 +691,7 @@ void Server::MaybeDispatchNext(Connection* conn) {
     std::optional<Frame> frame = std::move(conn->pending.front());
     conn->pending.pop_front();
     if (!frame.has_value()) {
-      const Status status =
-          Status::ResourceExhausted("pipeline depth exceeded");
-      CountOutcome(status);
-      SendFrame(conn, EncodeFrame(MsgType::kErrorResp,
-                                  EncodeErrorResp(MakeHead(status))));
+      Refuse(conn, Status::ResourceExhausted("pipeline depth exceeded"));
       continue;
     }
     --conn->pending_frames;
@@ -676,82 +699,38 @@ void Server::MaybeDispatchNext(Connection* conn) {
   }
 }
 
+void Server::Refuse(Connection* conn, const Status& status) {
+  CountOutcome(status);
+  SendFrame(conn, EncodeFrame(MsgType::kErrorResp,
+                              EncodeErrorResp(MakeHead(status))));
+}
+
 void Server::DispatchFrame(Connection* conn, Frame frame) {
-  const uint64_t conn_id = conn->id;
-  // A decodable-but-rejectable request still answers a typed frame;
-  // kErrorResp carries a bare ResponseHead so the client needs no
-  // per-request body to learn the status.
-  const auto reject = [&](const Status& status) {
-    CountOutcome(status);
-    SendFrame(conn, EncodeFrame(MsgType::kErrorResp,
-                                EncodeErrorResp(MakeHead(status))));
-  };
   // A fenced server (it observed a higher epoch) answers with the winning
   // epoch in the message AND its own epoch in the head — the client learns
   // where to go, and never mistakes this endpoint for current.
   const auto reject_stale = [&](uint64_t winner) {
     stale_refusals_.fetch_add(1, std::memory_order_relaxed);
     QMATCH_COUNTER_ADD("net.stale_refusals", 1);
-    reject(Status::Unavailable(
-        "stale_epoch: epoch=" + std::to_string(epoch()) +
-        " winner_epoch=" + std::to_string(winner)));
+    Refuse(conn, Status::Unavailable(
+                     "stale_epoch: epoch=" + std::to_string(epoch()) +
+                     " winner_epoch=" + std::to_string(winner)));
   };
-  // Engine work runs only on a primary: a standby's state is replicated,
-  // not owned, and a draining server is shedding. The rejection is typed
-  // kUnavailable BEFORE any work runs, so a client may safely retry it
-  // against another endpoint whatever the request type.
-  const auto require_primary = [&]() {
-    const uint64_t winner = fenced_by_.load(std::memory_order_acquire);
-    if (winner != 0) {
-      reject_stale(winner);
-      return false;
-    }
-    const Role r = role();
-    if (r == Role::kPrimary) return true;
-    reject(Status::Unavailable("not primary: role=" +
-                               std::string(RoleName(r))));
-    return false;
-  };
+  WorkerRequest request;
+  bool decoded = false;
   switch (static_cast<MsgType>(frame.type)) {
-    case MsgType::kSubmitSchema: {
-      if (!require_primary()) return;
-      SubmitSchemaReq req;
-      if (!DecodeSubmitSchemaReq(frame.payload, &req)) {
-        reject(Status::InvalidArgument("undecodable SubmitSchema payload"));
-        return;
-      }
-      conn->busy = true;
-      workers_->Submit([this, conn_id, req = std::move(req)]() mutable {
-        ExecuteSubmitSchema(conn_id, std::move(req));
-      });
-      return;
-    }
-    case MsgType::kMatchPair: {
-      if (!require_primary()) return;
-      MatchPairReq req;
-      if (!DecodeMatchPairReq(frame.payload, &req)) {
-        reject(Status::InvalidArgument("undecodable MatchPair payload"));
-        return;
-      }
-      conn->busy = true;
-      workers_->Submit([this, conn_id, req = std::move(req)]() mutable {
-        ExecuteMatchPair(conn_id, std::move(req));
-      });
-      return;
-    }
-    case MsgType::kMatchCorpus: {
-      if (!require_primary()) return;
-      MatchCorpusReq req;
-      if (!DecodeMatchCorpusReq(frame.payload, &req)) {
-        reject(Status::InvalidArgument("undecodable MatchCorpus payload"));
-        return;
-      }
-      conn->busy = true;
-      workers_->Submit([this, conn_id, req = std::move(req)]() mutable {
-        ExecuteMatchCorpus(conn_id, std::move(req));
-      });
-      return;
-    }
+    case MsgType::kSubmitSchema:
+      decoded = DecodeSubmitSchemaReq(frame.payload,
+                                      &request.emplace<SubmitSchemaReq>());
+      break;
+    case MsgType::kMatchPair:
+      decoded =
+          DecodeMatchPairReq(frame.payload, &request.emplace<MatchPairReq>());
+      break;
+    case MsgType::kMatchCorpus:
+      decoded = DecodeMatchCorpusReq(frame.payload,
+                                     &request.emplace<MatchCorpusReq>());
+      break;
     case MsgType::kGetStats: {
       CountOutcome(Status::OK());
       SendFrame(conn, EncodeFrame(MsgType::kGetStatsResp,
@@ -794,12 +773,13 @@ void Server::DispatchFrame(Connection* conn, Frame frame) {
         return;
       }
       if (options_.replication_log == nullptr) {
-        reject(Status::Unavailable("replication not enabled on this server"));
+        Refuse(conn,
+               Status::Unavailable("replication not enabled on this server"));
         return;
       }
       replica::SubscribeReq req;
       if (!replica::DecodeSubscribeReq(frame.payload, &req)) {
-        reject(Status::InvalidArgument("undecodable Subscribe payload"));
+        Refuse(conn, Status::InvalidArgument("undecodable Subscribe payload"));
         return;
       }
       // The handshake is one of the three demotion triggers: a subscriber
@@ -831,10 +811,36 @@ void Server::DispatchFrame(Connection* conn, Frame frame) {
       return;
     }
     default:
-      reject(Status::InvalidArgument("unknown request type " +
-                                     std::to_string(frame.type)));
+      Refuse(conn, Status::InvalidArgument("unknown request type " +
+                                           std::to_string(frame.type)));
       return;
   }
+  // The one offload path: engine work runs on the worker pool, and only on
+  // a primary — a standby's state is replicated, not owned, and a draining
+  // server is shedding. The refusal is typed kUnavailable BEFORE any work
+  // runs, so a client may safely retry it against another endpoint
+  // whatever the request type (and whatever its payload).
+  if (const uint64_t winner = fenced_by_.load(std::memory_order_acquire);
+      winner != 0) {
+    reject_stale(winner);
+    return;
+  }
+  if (const Role r = role(); r != Role::kPrimary) {
+    Refuse(conn, Status::Unavailable("not primary: role=" +
+                                     std::string(RoleName(r))));
+    return;
+  }
+  if (!decoded) {
+    Refuse(conn, Status::InvalidArgument(std::string("undecodable ") +
+                                         kWorkerNames[request.index()] +
+                                         " payload"));
+    return;
+  }
+  conn->busy = true;
+  workers_->Submit(
+      [this, conn_id = conn->id, request = std::move(request)] {
+        ServeOnWorker(conn_id, request);
+      });
 }
 
 void Server::PumpReplica(Connection* conn) {
@@ -848,8 +854,7 @@ void Server::PumpReplica(Connection* conn) {
   }
   while (true) {
     std::vector<replica::LogRecord> batch;
-    if (!log->Fetch(conn->replica_next_seq, options_.replica_batch_records,
-                    &batch)) {
+    if (!log->Fetch(conn->replica_next_seq, kReplicaBatchRecords, &batch)) {
       // The subscriber predates the log's retained window: anchor it with
       // a full snapshot. The sequence is captured BEFORE the state export,
       // so records racing the export overlap the snapshot and replay
@@ -903,15 +908,16 @@ void Server::PumpReplica(Connection* conn) {
   }
 }
 
-void Server::PumpAllReplicas() {
-  // Ids first: PumpReplica appends output and FlushConnection may close
-  // (erasing from connections_), so the map is never iterated live.
+std::vector<uint64_t> Server::ReplicaIds() const {
   std::vector<uint64_t> ids;
-  ids.reserve(connections_.size());
   for (const auto& [id, conn] : connections_) {
     if (conn->replica) ids.push_back(id);
   }
-  for (const uint64_t id : ids) {
+  return ids;
+}
+
+void Server::PumpAllReplicas() {
+  for (const uint64_t id : ReplicaIds()) {
     Connection* conn = FindConnection(id);
     if (conn == nullptr) continue;
     PumpReplica(conn);
@@ -941,14 +947,9 @@ void Server::ArmReplicaHeartbeat() {
             heartbeat.epoch = epoch();
             const std::string frame = EncodeFrame(
                 MsgType::kReplicaRecords, replica::EncodeRecordsMsg(heartbeat));
-            std::vector<uint64_t> ids;
-            ids.reserve(connections_.size());
-            for (const auto& [id, conn] : connections_) {
-              if (conn->replica && !conn->closing) ids.push_back(id);
-            }
-            for (const uint64_t id : ids) {
+            for (const uint64_t id : ReplicaIds()) {
               Connection* conn = FindConnection(id);
-              if (conn == nullptr) continue;
+              if (conn == nullptr || conn->closing) continue;
               SendFrame(conn, frame);
               FlushConnection(conn);
             }
@@ -960,11 +961,7 @@ void Server::ArmReplicaHeartbeat() {
 }
 
 void Server::CloseAllReplicas() {
-  std::vector<uint64_t> ids;
-  ids.reserve(connections_.size());
-  for (const auto& [id, conn] : connections_) {
-    if (conn->replica) ids.push_back(id);
-  }
+  const std::vector<uint64_t> ids = ReplicaIds();
   for (const uint64_t id : ids) CloseConnection(id);
   if (!ids.empty()) {
     QMATCH_COUNTER_ADD("net.replica_links_severed", ids.size());
@@ -1158,123 +1155,95 @@ std::shared_ptr<const xsd::Schema> Server::LookupSchema(
   return it == schemas_.end() ? nullptr : it->second.schema;
 }
 
-void Server::ExecuteSubmitSchema(uint64_t conn_id, SubmitSchemaReq req) {
-  QMATCH_SPAN(span, "net.submit_schema");
+void Server::ServeOnWorker(uint64_t conn_id, const WorkerRequest& request) {
+  QMATCH_SPAN(span, kWorkerSpans[request.index()]);
   QMATCH_OBS_ONLY(const steady_clock::time_point start = steady_clock::now();)
-  SubmitSchemaResp resp;
-  xsd::ParseOptions parse = options_.parse;
-  parse.schema_name = req.name;
-  if (req.name.empty()) {
-    resp.head = ResponseHead::FromStatus(
-        Status::InvalidArgument("schema name must be non-empty"));
-  } else {
-    Result<xsd::Schema> schema = xsd::ParseSchema(req.xsd_text, parse);
-    if (!schema.ok()) {
-      resp.head = ResponseHead::FromStatus(schema.status());
-    } else {
-      resp.fingerprint = xsd::SchemaFingerprint(*schema);
-      resp.node_count = schema->NodeCount();
-      auto shared = std::make_shared<const xsd::Schema>(std::move(*schema));
-      {
-        std::lock_guard<std::mutex> lock(schemas_mutex_);
-        schemas_[req.name] = SchemaEntry{std::move(shared), req.xsd_text};
-      }
-      if (options_.schema_observer) {
-        options_.schema_observer(req.name, req.xsd_text);
-      }
-    }
-  }
-  QMATCH_HISTOGRAM_OBSERVE(
-      "net.request_ns",
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          steady_clock::now() - start)
-          .count());
-  resp.head.epoch = epoch();
-  CompleteRequest(conn_id, resp.head.ToStatus(),
-                  EncodeFrame(MsgType::kSubmitSchemaResp,
-                              EncodeSubmitSchemaResp(resp)));
+  std::visit(
+      [&](const auto& req) {
+        auto resp = Execute(req);
+        QMATCH_HISTOGRAM_OBSERVE(
+            "net.request_ns",
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                steady_clock::now() - start)
+                .count());
+        resp.head.epoch = epoch();
+        CompleteRequest(conn_id, resp.head.ToStatus(), ResponseFrame(resp));
+      },
+      request);
 }
 
-void Server::ExecuteMatchPair(uint64_t conn_id, MatchPairReq req) {
-  QMATCH_SPAN(span, "net.match_pair");
-  QMATCH_OBS_ONLY(const steady_clock::time_point start = steady_clock::now();)
+SubmitSchemaResp Server::Execute(const SubmitSchemaReq& req) {
+  SubmitSchemaResp resp;
+  Result<std::shared_ptr<const xsd::Schema>> schema =
+      AddSchema(req.name, req.xsd_text, /*replicated=*/false);
+  if (!schema.ok()) {
+    resp.head = ResponseHead::FromStatus(schema.status());
+    return resp;
+  }
+  resp.fingerprint = xsd::SchemaFingerprint(**schema);
+  resp.node_count = (*schema)->NodeCount();
+  return resp;
+}
+
+MatchPairResp Server::Execute(const MatchPairReq& req) {
   MatchPairResp resp;
   const std::shared_ptr<const xsd::Schema> source = LookupSchema(req.source);
   const std::shared_ptr<const xsd::Schema> target = LookupSchema(req.target);
   if (source == nullptr || target == nullptr) {
     resp.head = ResponseHead::FromStatus(Status::NotFound(
         "unknown schema: " + (source == nullptr ? req.source : req.target)));
-  } else {
-    core::EngineRequestOptions opts;
-    opts.deadline = RequestDeadline(req.deadline_ms);
-    const core::EngineMatchResult result =
-        engine_->Match(*source, *target, opts);
-    resp.head = ResponseHead::FromStatus(result.status);
-    resp.algorithm = result.result.algorithm;
-    resp.mode = static_cast<uint32_t>(result.result.mode);
-    resp.schema_qom = result.result.schema_qom;
-    resp.completed_rows = result.completed_rows;
-    resp.total_rows = result.total_rows;
-    resp.correspondences.reserve(result.result.correspondences.size());
-    for (const Correspondence& c : result.result.correspondences) {
-      resp.correspondences.push_back(
-          WireCorrespondence{c.source->Path(), c.target->Path(), c.score});
-    }
+    return resp;
   }
-  QMATCH_HISTOGRAM_OBSERVE(
-      "net.request_ns",
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          steady_clock::now() - start)
-          .count());
-  resp.head.epoch = epoch();
-  CompleteRequest(
-      conn_id, resp.head.ToStatus(),
-      EncodeFrame(MsgType::kMatchPairResp, EncodeMatchPairResp(resp)));
+  core::EngineRequestOptions opts;
+  opts.deadline = RequestDeadline(req.deadline_ms);
+  const core::EngineMatchResult result = engine_->Match(*source, *target, opts);
+  resp.head = ResponseHead::FromStatus(result.status);
+  resp.algorithm = result.result.algorithm;
+  resp.mode = static_cast<uint32_t>(result.result.mode);
+  resp.schema_qom = result.result.schema_qom;
+  resp.completed_rows = result.completed_rows;
+  resp.total_rows = result.total_rows;
+  resp.correspondences.reserve(result.result.correspondences.size());
+  for (const Correspondence& c : result.result.correspondences) {
+    resp.correspondences.push_back(
+        WireCorrespondence{c.source->Path(), c.target->Path(), c.score});
+  }
+  return resp;
 }
 
-void Server::ExecuteMatchCorpus(uint64_t conn_id, MatchCorpusReq req) {
-  QMATCH_SPAN(span, "net.match_corpus");
-  QMATCH_OBS_ONLY(const steady_clock::time_point start = steady_clock::now();)
+MatchCorpusResp Server::Execute(const MatchCorpusReq& req) {
   MatchCorpusResp resp;
   const std::shared_ptr<const xsd::Schema> query = LookupSchema(req.query);
   if (query == nullptr) {
     resp.head = ResponseHead::FromStatus(
         Status::NotFound("unknown schema: " + req.query));
-  } else {
-    // One shared deadline across every candidate, same as MatchCorpus's
-    // request envelope: candidates matched after expiry degrade typed.
-    core::EngineRequestOptions opts;
-    opts.deadline = RequestDeadline(req.deadline_ms);
-    std::vector<std::pair<std::string, std::shared_ptr<const xsd::Schema>>>
-        candidates;
-    {
-      std::lock_guard<std::mutex> lock(schemas_mutex_);
-      candidates.reserve(schemas_.size());
-      for (const auto& [name, entry] : schemas_) {
-        if (name != req.query) candidates.emplace_back(name, entry.schema);
-      }
-    }
-    resp.entries.reserve(candidates.size());
-    for (const auto& [name, schema] : candidates) {
-      const core::EngineMatchResult result =
-          engine_->Match(*query, *schema, opts);
-      WireCorpusEntry entry;
-      entry.name = name;
-      entry.code = static_cast<uint32_t>(result.status.code());
-      entry.schema_qom = result.result.schema_qom;
-      entry.correspondences = result.result.correspondences.size();
-      resp.entries.push_back(std::move(entry));
+    return resp;
+  }
+  // One shared deadline across every candidate, same as MatchCorpus's
+  // request envelope: candidates matched after expiry degrade typed.
+  core::EngineRequestOptions opts;
+  opts.deadline = RequestDeadline(req.deadline_ms);
+  std::vector<std::pair<std::string, std::shared_ptr<const xsd::Schema>>>
+      candidates;
+  {
+    std::lock_guard<std::mutex> lock(schemas_mutex_);
+    candidates.reserve(schemas_.size());
+    for (const auto& [name, entry] : schemas_) {
+      if (name != req.query) candidates.emplace_back(name, entry.schema);
     }
   }
-  QMATCH_HISTOGRAM_OBSERVE(
-      "net.request_ns",
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          steady_clock::now() - start)
-          .count());
-  resp.head.epoch = epoch();
-  CompleteRequest(
-      conn_id, resp.head.ToStatus(),
-      EncodeFrame(MsgType::kMatchCorpusResp, EncodeMatchCorpusResp(resp)));
+  resp.entries.reserve(candidates.size());
+  for (const auto& [name, schema] : candidates) {
+    const core::EngineMatchResult result =
+        engine_->Match(*query, *schema, opts);
+    WireCorpusEntry entry;
+    entry.name = name;
+    entry.code = static_cast<uint32_t>(result.status.code());
+    entry.schema_qom = result.result.schema_qom;
+    entry.correspondences = result.result.correspondences.size();
+    resp.entries.push_back(std::move(entry));
+  }
+  return resp;
 }
 
 void Server::CompleteRequest(uint64_t conn_id, const Status& status,

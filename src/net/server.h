@@ -11,8 +11,10 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
@@ -115,9 +117,6 @@ struct ServerOptions {
   /// truthful and dead links are noticed. Zero disables heartbeats.
   std::chrono::milliseconds replica_heartbeat{200};
 
-  /// Max records per pushed kReplicaRecords frame.
-  size_t replica_batch_records = 512;
-
   /// Standby readiness bound: /readyz (and kRole.ready) report ready while
   /// the replication link is up and head - applied <= this many records.
   uint64_t ready_lag_records = 64;
@@ -130,8 +129,9 @@ struct ServerOptions {
 
   /// Invoked after every successful schema registration with (name, xsd
   /// text) — the server-side replication hook mirroring the engine's
-  /// ReplicationObserver. Runs on whatever thread registered the schema;
-  /// must be thread-safe and must not call back into the server.
+  /// ReplicationObserver. Runs on whatever thread registered the schema,
+  /// inside the critical section that stores it, so calls arrive in store
+  /// order; must be thread-safe and must not call back into the server.
   std::function<void(const std::string&, const std::string&)> schema_observer;
 };
 
@@ -281,11 +281,19 @@ class Server {
   /// worker pool; stats/metrics/health/role answer inline.
   void DispatchFrame(Connection* conn, Frame frame);
 
+  /// Answers a request refused on the loop: counts its outcome and queues
+  /// a kErrorResp frame, whose bare ResponseHead tells the client the
+  /// status without a per-request body.
+  void Refuse(Connection* conn, const Status& status);
+
   /// Replication push path: ships the subscriber everything it is owed —
   /// a snapshot anchor when it is behind the log's base, then record
   /// batches up to the head.
   void PumpReplica(Connection* conn);
   void PumpAllReplicas();
+  /// Ids of the replication subscribers, collected first because pumping,
+  /// flushing or closing may erase from connections_ mid-iteration.
+  std::vector<uint64_t> ReplicaIds() const;
   /// Recurring heartbeat: an empty records frame with the current head to
   /// every subscriber, plus the peer epoch probe when configured.
   void ArmReplicaHeartbeat();
@@ -301,9 +309,17 @@ class Server {
   ResponseHead MakeHead(const Status& status) const;
 
   // --- worker-pool side ----------------------------------------------------
-  void ExecuteSubmitSchema(uint64_t conn_id, SubmitSchemaReq req);
-  void ExecuteMatchPair(uint64_t conn_id, MatchPairReq req);
-  void ExecuteMatchCorpus(uint64_t conn_id, MatchCorpusReq req);
+  /// A decoded request that executes on the worker pool.
+  using WorkerRequest =
+      std::variant<SubmitSchemaReq, MatchPairReq, MatchCorpusReq>;
+  /// The one envelope of every worker-pool request: the request's net.*
+  /// span, the net.request_ns timing of its handler, the epoch stamp on
+  /// its response, and CompleteRequest.
+  void ServeOnWorker(uint64_t conn_id, const WorkerRequest& request);
+  /// Handlers: each only builds its response (an error goes in the head).
+  SubmitSchemaResp Execute(const SubmitSchemaReq& req);
+  MatchPairResp Execute(const MatchPairReq& req);
+  MatchCorpusResp Execute(const MatchCorpusReq& req);
   /// Counts the request outcome (exactly once per dispatched request, even
   /// when the connection died before the response could be written) and
   /// posts the encoded response back to the loop.
@@ -313,6 +329,11 @@ class Server {
   /// Bumps net.requests plus exactly one per-outcome counter. Called once
   /// per request, on whichever thread decides the outcome.
   void CountOutcome(const Status& status);
+
+  /// Parses and stores `xsd_text` under `name` (replacing any earlier
+  /// revision) and, unless `replicated`, hands it to the schema_observer.
+  Result<std::shared_ptr<const xsd::Schema>> AddSchema(
+      const std::string& name, std::string_view xsd_text, bool replicated);
 
   Deadline RequestDeadline(uint64_t deadline_ms) const;
   StatsResp BuildStats() const;

@@ -358,11 +358,10 @@ TEST_F(ChaosEngineTest, DeadlineIsHonoredDuringPrecomputeAtProteinScale) {
 }
 
 TEST_F(ChaosEngineTest, SlowPrecomputeIsCutOffByTheDeadline) {
-  // A 5ms delay per label/property matrix row makes the precompute alone
-  // take far longer than the deadline; the request must stop inside the
-  // precompute (no row filled) within the slack bound, sequentially and
-  // with the label rows fanned out across the pool. The deadline scales
-  // with sanitizers so that each driver reaches its first matrix row.
+  // One delayed precompute step outlasts the whole deadline; the request
+  // must stop at the next poll (no row filled) within the slack bound,
+  // sequentially and on the pool path. The deadline scales with
+  // sanitizers so that each driver reaches its first poll site.
   datagen::GeneratorOptions gen;
   gen.seed = 52;
   gen.element_count = 300;
@@ -374,16 +373,17 @@ TEST_F(ChaosEngineTest, SlowPrecomputeIsCutOffByTheDeadline) {
   ASSERT_GE(source.Flat().labels.size() * target.Flat().labels.size(),
             4096u);
 
+  const milliseconds budget = qmatch::test::Scaled(milliseconds(30));
   fault::FaultSpec spec;
   spec.action = fault::FaultAction::kDelay;
-  spec.delay = milliseconds(5);
+  spec.delay = budget;
   fault::ScopedFailpoint armed("treematch.precompute", spec);
 
   for (size_t threads : {1u, 4u}) {
     MatchEngine engine(EngineOptions(threads));
     EngineRequestOptions options;
-    const milliseconds budget = qmatch::test::Scaled(milliseconds(30));
     options.deadline = Deadline::After(budget);
+    const uint64_t fires_before = armed.stats().fires;
     const steady_clock::time_point start = steady_clock::now();
     const EngineMatchResult result = engine.Match(source, target, options);
     const auto elapsed = steady_clock::now() - start;
@@ -393,8 +393,13 @@ TEST_F(ChaosEngineTest, SlowPrecomputeIsCutOffByTheDeadline) {
     EXPECT_TRUE(result.result.correspondences.empty());
     EXPECT_LE(elapsed, budget + kDeadlineSlack)
         << "threads=" << threads << ": precompute overran its deadline";
+    // Exactly one step ran. On the pool path that step is the first
+    // source token of the single-threaded token pass: had the pass not
+    // polled, the label rows would have fanned out and several workers
+    // would each have fired once before seeing the deadline.
+    EXPECT_EQ(armed.stats().fires - fires_before, 1u)
+        << "threads=" << threads << ": stopped outside the first step";
   }
-  EXPECT_GE(armed.stats().fires, 2u);
 }
 
 TEST_F(ChaosEngineTest, CancellationStopsPromptlyWithMonotonePartial) {

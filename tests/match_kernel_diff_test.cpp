@@ -300,6 +300,7 @@ TEST(KernelDiffTest, NonDefaultConfigKnobs) {
   }
 }
 
+#if QMATCH_FAULT_ENABLED
 /// A stopped fill is a bit-identical subset of the oracle: every reported
 /// correspondence is one the oracle reports (same target, same score
 /// bits), every cell of a completed row equals the oracle's, and the rows
@@ -342,7 +343,6 @@ void ExpectPartialIsOracleSubset(const QMatch::Analysis& partial,
   EXPECT_EQ(rows_with_cells, partial.completed_rows()) << context;
 }
 
-#if QMATCH_FAULT_ENABLED
 TEST(KernelDiffTest, CancelledPartialsAreBitIdenticalSubsets) {
   // Mid-flight cancellation: slow every pair down via the treematch.pair
   // failpoint, cancel after a few row-times, and require that the fill

@@ -16,14 +16,17 @@
 
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/engine.h"
 #include "datagen/corpus.h"
+#include "datagen/generator.h"
 #include "fault/failpoint.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -377,6 +380,41 @@ TEST_F(LoopbackTest, MatchCorpusRanksEverySubmittedCandidate) {
   }
 }
 
+TEST_F(LoopbackTest, MatchCorpusAnswersWithinItsDeadline) {
+  // Candidates large enough that matching all of them takes far longer
+  // than the deadline: the one deadline shared by the corpus loop must cut
+  // it short, with a typed code per entry.
+  datagen::GeneratorOptions gen;
+  gen.element_count = 1000;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    gen.seed = seed;
+    gen.name = "Big" + std::to_string(seed);
+    ASSERT_TRUE(server_
+                    ->RegisterSchema(gen.name,
+                                     xsd::ToXsd(datagen::GenerateSchema(gen)))
+                    .ok());
+  }
+  Client client = Connect();
+  ASSERT_TRUE(client.connected());
+  const std::chrono::milliseconds deadline(20);
+  const auto start = std::chrono::steady_clock::now();
+  Result<MatchCorpusResp> corpus =
+      client.MatchCorpus("Big1", static_cast<uint64_t>(deadline.count()));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  EXPECT_LE(elapsed, deadline + test::kDeadlineSlack);
+  ASSERT_EQ(corpus->entries.size(), 5u);
+  size_t exceeded = 0;
+  for (const WireCorpusEntry& entry : corpus->entries) {
+    const StatusCode code = static_cast<StatusCode>(entry.code);
+    EXPECT_TRUE(code == StatusCode::kOk ||
+                code == StatusCode::kDeadlineExceeded)
+        << entry.name << ": " << StatusCodeToString(code);
+    if (code == StatusCode::kDeadlineExceeded) ++exceeded;
+  }
+  EXPECT_GE(exceeded, 1u) << "the corpus finished inside its deadline";
+}
+
 TEST_F(LoopbackTest, UnknownSchemaAnswersTypedNotFound) {
   Client client = Connect();
   ASSERT_TRUE(client.connected());
@@ -577,6 +615,69 @@ TEST_F(LoopbackTest, ServerStatsAccountConnectionsAndRequests) {
   EXPECT_EQ(stats.closed, 1u);
   EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(stats.bad_frames, 0u);
+}
+
+TEST(SchemaObserverTest, RevisionsOfOneNameAreObservedInStoreOrder) {
+  // The observer (the replication-log append on a primary) holds its first
+  // call open until a second revision of the same name arrives on another
+  // connection. The second revision must not be stored until the first is
+  // observed: otherwise the log reads v2, v1 while the server serves v2,
+  // and a last-wins standby converges on v1.
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t calls = 0;
+  std::vector<std::string> observed;
+  ServerOptions options;
+  options.request_threads = 2;
+  options.schema_observer = [&](const std::string&, const std::string& text) {
+    std::unique_lock<std::mutex> lock(mu);
+    const size_t call = ++calls;
+    cv.notify_all();
+    if (call == 1) {
+      cv.wait_for(lock, std::chrono::milliseconds(200),
+                  [&] { return calls >= 2; });
+    }
+    observed.push_back(text);
+  };
+  core::MatchEngine engine(core::MatchEngineOptions{});
+  Server server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+  const auto connect = [&] {
+    Result<Client> client = Client::Connect(
+        "127.0.0.1", server.port(), test::Scaled(std::chrono::seconds(5)));
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return client.ok() ? std::move(*client) : Client();
+  };
+  Client first = connect();
+  Client second = connect();
+  ASSERT_TRUE(first.connected() && second.connected());
+
+  const std::string v1 = CorpusXsd(0);
+  const std::string v2 = CorpusXsd(1);
+  std::thread writer([&] {
+    Result<SubmitSchemaResp> resp = first.SubmitSchema("doc", v1);
+    EXPECT_TRUE(resp.ok() && resp->head.ok());
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, test::Scaled(std::chrono::seconds(5)),
+                            [&] { return calls >= 1; }));
+  }
+  Result<SubmitSchemaResp> resp = second.SubmitSchema("doc", v2);
+  writer.join();
+  ASSERT_TRUE(resp.ok() && resp->head.ok());
+
+  std::string served;
+  for (const auto& [name, text] : server.ExportSchemas()) {
+    if (name == "doc") served = text;
+  }
+  EXPECT_EQ(served, v2);
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(observed.size(), 2u);
+  EXPECT_TRUE(observed.back() == served)
+      << "the observer saw the revisions in another order than they were "
+         "stored";
+  server.Stop();
 }
 
 }  // namespace
