@@ -101,28 +101,6 @@ Status AdmissionController::Admit(uint64_t cost, const ExecControl& control,
   return Status::OK();
 }
 
-void AdmissionController::AdmitBlocking(uint64_t cost, AdmissionPermit* out) {
-  *out = AdmissionPermit();
-  if (!enabled()) return;
-  cost = ClampCost(cost);
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (queue_.empty() && FitsLocked(cost)) {
-    inflight_ += cost;
-    *out = AdmissionPermit(this, cost);
-    return;
-  }
-  const uint64_t id = ++next_waiter_id_;
-  queue_.push_back(Waiter{id, cost});
-  cv_.wait(lock, [&]() {
-    return !queue_.empty() && queue_.front().id == id && FitsLocked(cost);
-  });
-  queue_.pop_front();
-  inflight_ += cost;
-  cv_.notify_all();
-  *out = AdmissionPermit(this, cost);
-}
-
 void AdmissionController::Release(uint64_t cost) noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   inflight_ -= cost;

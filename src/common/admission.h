@@ -27,9 +27,9 @@ struct AdmissionOptions {
 
 class AdmissionController;
 
-/// RAII hold on admitted capacity: returned by Admit/AdmitBlocking,
-/// releases its cost (and wakes queued waiters) on destruction. Move-only;
-/// a default-constructed or moved-from Permit releases nothing.
+/// RAII hold on admitted capacity: returned by Admit, releases its cost
+/// (and wakes queued waiters) on destruction. Move-only; a
+/// default-constructed or moved-from Permit releases nothing.
 class AdmissionPermit {
  public:
   AdmissionPermit() = default;
@@ -88,11 +88,6 @@ class AdmissionController {
   /// kCancelled.
   Status Admit(uint64_t cost, const ExecControl& control,
                AdmissionPermit* out);
-
-  /// Admission for paths without an ExecControl (the untyped legacy API):
-  /// enqueues even past the queue cap and waits indefinitely, so it
-  /// applies backpressure but can never fail.
-  void AdmitBlocking(uint64_t cost, AdmissionPermit* out);
 
   /// Load signal in [0, 1]: the larger of cost utilization and queue fill.
   /// 0 when disabled. One input of the engine's degradation ladder.

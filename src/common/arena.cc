@@ -24,7 +24,10 @@ void Arena::AddBlock(size_t min_bytes) {
     throw ArenaExhausted(charged.message());
   }
   Block block;
-  block.data = std::make_unique<unsigned char[]>(size);
+  // Left uninitialised: Allocate hands out raw storage and MakeArray
+  // value-initialises its own span, so zeroing here would only touch every
+  // page of a large block once more, unpolled.
+  block.data = std::make_unique_for_overwrite<unsigned char[]>(size);
   block.size = size;
   blocks_.push_back(std::move(block));
   allocated_bytes_ += size;

@@ -7,9 +7,10 @@
 #include <utility>
 
 #include "common/arena.h"
+#include "common/backoff.h"
 #include "common/file_util.h"
-#include "common/random.h"
 #include "fault/failpoint.h"
+#include "lingua/default_thesaurus.h"
 #include "obs/obs.h"
 
 namespace qmatch::core {
@@ -119,17 +120,8 @@ MatchEngine::MatchEngine(MatchEngineOptions options)
     : MatchEngine(QMatchConfig{}, std::move(options)) {}
 
 MatchEngine::MatchEngine(QMatchConfig config, MatchEngineOptions options)
-    : matcher_(std::move(config)),
-      threads_(ResolveThreads(options.threads)),
-      options_(options),
-      admission_(options.overload.admission),
-      process_budget_(options.overload.process_budget_bytes) {
-  config_hash_ = HashConfig(matcher_.config());
-  // The calling thread participates in every ParallelFor, so `threads`
-  // total parallelism needs threads-1 pool workers.
-  pool_ = std::make_unique<ThreadPool>(threads_ - 1);
-  InitPersist();
-}
+    : MatchEngine(std::move(config), &lingua::DefaultThesaurus(),
+                  std::move(options)) {}
 
 MatchEngine::MatchEngine(QMatchConfig config, const lingua::Thesaurus* thesaurus,
                          MatchEngineOptions options)
@@ -139,6 +131,8 @@ MatchEngine::MatchEngine(QMatchConfig config, const lingua::Thesaurus* thesaurus
       admission_(options.overload.admission),
       process_budget_(options.overload.process_budget_bytes) {
   config_hash_ = HashConfig(matcher_.config());
+  // The calling thread participates in every ParallelFor, so `threads`
+  // total parallelism needs threads-1 pool workers.
   pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   InitPersist();
 }
@@ -188,8 +182,6 @@ void MatchEngine::InitPersist() {
       UpsertCacheRecLocked(rec);
       ++recovered;
     }
-    cache_stats_.entries = cache_lru_.size();
-    QMATCH_GAUGE_SET("engine.cache.entries", cache_lru_.size());
   }
   {
     std::lock_guard<std::mutex> lock(breaker_mutex_);
@@ -205,42 +197,42 @@ void MatchEngine::InitPersist() {
   (void)dropped;
 }
 
-void MatchEngine::UpsertCacheRecLocked(const persist::CacheEntryRec& rec) const {
-  CacheEntry entry;
-  entry.key = CacheKey{rec.source_fp, rec.target_fp, rec.config_hash};
-  entry.algorithm = rec.algorithm;
-  entry.schema_qom = rec.schema_qom;
-  entry.correspondences.reserve(rec.correspondences.size());
-  for (const persist::CorrespondenceRec& c : rec.correspondences) {
-    entry.correspondences.push_back(
-        CachedCorrespondence{c.source_path, c.target_path, c.score});
-  }
-  const CacheKey key = entry.key;
+MatchEngine::LruKey MatchEngine::KeyOf(const persist::CacheEntryRec& rec) {
+  return LruKey{rec.source_fp, rec.target_fp, rec.config_hash};
+}
+
+void MatchEngine::UpsertCacheRecLocked(persist::CacheEntryRec rec) const {
+  const LruKey key = KeyOf(rec);
   auto it = cache_index_.find(key);
   if (it != cache_index_.end()) {
-    *it->second = std::move(entry);
+    *it->second = std::move(rec);
     cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-  } else {
-    cache_lru_.push_front(std::move(entry));
-    cache_index_[key] = cache_lru_.begin();
+    return;
   }
+  cache_lru_.push_front(std::move(rec));
+  cache_index_[key] = cache_lru_.begin();
   while (cache_lru_.size() > options_.cache_capacity) {
-    cache_index_.erase(cache_lru_.back().key);
+    cache_index_.erase(KeyOf(cache_lru_.back()));
     cache_lru_.pop_back();
+    ++cache_stats_.evictions;
+    QMATCH_COUNTER_ADD("engine.cache.evictions", 1);
   }
+  cache_stats_.entries = cache_lru_.size();
+  QMATCH_GAUGE_SET("engine.cache.entries", cache_lru_.size());
+}
+
+CircuitBreaker& MatchEngine::BreakerLocked(const std::string& path) const {
+  return breakers_
+      .try_emplace(path, CircuitBreakerOptions{
+                             options_.overload.breaker_failure_threshold,
+                             options_.overload.breaker_cooldown})
+      .first->second;
 }
 
 void MatchEngine::UpsertCorpusRecLocked(
     const persist::CorpusEntryRec& rec) const {
   corpus_index_[rec.path] = rec;
-  CircuitBreaker& breaker =
-      breakers_
-          .try_emplace(rec.path,
-                       CircuitBreakerOptions{
-                           options_.overload.breaker_failure_threshold,
-                           options_.overload.breaker_cooldown})
-          .first->second;
-  breaker.Restore(static_cast<int>(rec.breaker_failures));
+  BreakerLocked(rec.path).Restore(static_cast<int>(rec.breaker_failures));
 }
 
 void MatchEngine::SetReplicationObserver(ReplicationObserver observer) {
@@ -281,8 +273,6 @@ void MatchEngine::ApplyReplicatedCacheEntry(const persist::CacheEntryRec& rec) {
   if (options_.cache_capacity > 0) {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     UpsertCacheRecLocked(rec);
-    cache_stats_.entries = cache_lru_.size();
-    QMATCH_GAUGE_SET("engine.cache.entries", cache_lru_.size());
   }
   if (persist_ != nullptr) {
     const Status appended = persist_->AppendCache(rec);
@@ -304,28 +294,12 @@ void MatchEngine::ApplyReplicatedCorpusEntry(
   }
 }
 
-persist::StoreState MatchEngine::ExportState() const { return SnapshotState(); }
-
-persist::StoreState MatchEngine::SnapshotState() const {
+persist::StoreState MatchEngine::ExportState() const {
   persist::StoreState state;
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    state.cache_entries.reserve(cache_lru_.size());
     // Oldest first (see InitPersist): reverse LRU order.
-    for (auto it = cache_lru_.rbegin(); it != cache_lru_.rend(); ++it) {
-      persist::CacheEntryRec rec;
-      rec.source_fp = it->key.source_fp;
-      rec.target_fp = it->key.target_fp;
-      rec.config_hash = it->key.config_hash;
-      rec.algorithm = it->algorithm;
-      rec.schema_qom = it->schema_qom;
-      rec.correspondences.reserve(it->correspondences.size());
-      for (const CachedCorrespondence& c : it->correspondences) {
-        rec.correspondences.push_back(
-            persist::CorrespondenceRec{c.source_path, c.target_path, c.score});
-      }
-      state.cache_entries.push_back(std::move(rec));
-    }
+    state.cache_entries.assign(cache_lru_.rbegin(), cache_lru_.rend());
   }
   {
     std::lock_guard<std::mutex> lock(breaker_mutex_);
@@ -347,7 +321,7 @@ persist::StoreState MatchEngine::SnapshotState() const {
 
 Status MatchEngine::CompactPersist() const {
   if (persist_ == nullptr) return Status::OK();
-  return persist_->Compact(SnapshotState());
+  return persist_->Compact(ExportState());
 }
 
 void MatchEngine::MaybeCompactPersist() const {
@@ -360,13 +334,12 @@ void MatchEngine::MaybeCompactPersist() const {
   (void)CompactPersist();
 }
 
-MatchEngine::CacheKey MatchEngine::MakeKey(const xsd::Schema& source,
-                                           const xsd::Schema& target) const {
-  return CacheKey{xsd::SchemaFingerprint(source), xsd::SchemaFingerprint(target),
-                  config_hash_};
+ThreadPool* MatchEngine::FillPool(size_t pairs) const {
+  return threads_ > 1 && pairs >= options_.min_parallel_pairs ? pool_.get()
+                                                              : nullptr;
 }
 
-bool MatchEngine::CacheLookup(const CacheKey& key, const xsd::Schema& source,
+bool MatchEngine::CacheLookup(const LruKey& key, const xsd::Schema& source,
                               const xsd::Schema& target,
                               MatchResult* out) const {
   // A poisoned lookup degrades to a miss: the caller recomputes and the
@@ -382,12 +355,12 @@ bool MatchEngine::CacheLookup(const CacheKey& key, const xsd::Schema& source,
     QMATCH_COUNTER_ADD("engine.cache.misses", 1);
     return false;
   }
-  const CacheEntry& entry = *it->second;
+  const persist::CacheEntryRec& entry = *it->second;
   MatchResult result;
   result.algorithm = entry.algorithm;
   result.schema_qom = entry.schema_qom;
   result.correspondences.reserve(entry.correspondences.size());
-  for (const CachedCorrespondence& c : entry.correspondences) {
+  for (const persist::CorrespondenceRec& c : entry.correspondences) {
     const xsd::SchemaNode* s = source.FindByPath(c.source_path);
     const xsd::SchemaNode* t = target.FindByPath(c.target_path);
     if (s == nullptr || t == nullptr) {
@@ -410,7 +383,7 @@ bool MatchEngine::CacheLookup(const CacheKey& key, const xsd::Schema& source,
   return true;
 }
 
-void MatchEngine::CacheStore(const CacheKey& key,
+void MatchEngine::CacheStore(const LruKey& key,
                              const MatchResult& result) const {
   // A failed store is dropped silently (the entry is recomputed next time);
   // correctness never depends on the store landing.
@@ -418,50 +391,23 @@ void MatchEngine::CacheStore(const CacheKey& key,
     QMATCH_COUNTER_ADD("engine.cache.dropped_stores", 1);
     return;
   }
-  CacheEntry entry;
-  entry.key = key;
-  entry.algorithm = result.algorithm;
-  entry.schema_qom = result.schema_qom;
-  entry.correspondences.reserve(result.correspondences.size());
-  for (const Correspondence& c : result.correspondences) {
-    entry.correspondences.push_back(
-        CachedCorrespondence{c.source->Path(), c.target->Path(), c.score});
-  }
   persist::CacheEntryRec rec;
-  // The record feeds both the local journal and the replication stream —
-  // built whenever either consumer is attached.
-  const bool record_needed = persist_ != nullptr || HasReplicationObserver();
-  if (record_needed) {
-    rec.source_fp = key.source_fp;
-    rec.target_fp = key.target_fp;
-    rec.config_hash = key.config_hash;
-    rec.algorithm = entry.algorithm;
-    rec.schema_qom = entry.schema_qom;
-    rec.correspondences.reserve(entry.correspondences.size());
-    for (const CachedCorrespondence& c : entry.correspondences) {
-      rec.correspondences.push_back(
-          persist::CorrespondenceRec{c.source_path, c.target_path, c.score});
-    }
+  std::tie(rec.source_fp, rec.target_fp, rec.config_hash) = key;
+  rec.algorithm = result.algorithm;
+  rec.schema_qom = result.schema_qom;
+  rec.correspondences.reserve(result.correspondences.size());
+  for (const Correspondence& c : result.correspondences) {
+    rec.correspondences.push_back(
+        persist::CorrespondenceRec{c.source->Path(), c.target->Path(), c.score});
   }
+  // The same record feeds the LRU, the local journal and the replication
+  // stream; the LRU takes a copy only when either of the others needs it.
+  const bool record_needed = persist_ != nullptr || HasReplicationObserver();
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = cache_index_.find(key);
-    if (it != cache_index_.end()) {
-      *it->second = std::move(entry);
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-    } else {
-      cache_lru_.push_front(std::move(entry));
-      cache_index_[key] = cache_lru_.begin();
-      while (cache_lru_.size() > options_.cache_capacity) {
-        cache_index_.erase(cache_lru_.back().key);
-        cache_lru_.pop_back();
-        ++cache_stats_.evictions;
-        QMATCH_COUNTER_ADD("engine.cache.evictions", 1);
-      }
-      cache_stats_.entries = cache_lru_.size();
-      QMATCH_GAUGE_SET("engine.cache.entries", cache_lru_.size());
-    }
+    UpsertCacheRecLocked(record_needed ? rec : std::move(rec));
   }
+  if (!record_needed) return;
   if (persist_ != nullptr) {
     // Journal outside the cache lock (the store serializes on its own
     // mutex). CacheStore only ever sees full-fidelity results, so every
@@ -473,87 +419,26 @@ void MatchEngine::CacheStore(const CacheKey& key,
     }
     MaybeCompactPersist();
   }
-  if (record_needed) NotifyReplicated(rec);
-}
-
-MatchResult MatchEngine::MatchUncached(const xsd::Schema& source,
-                                       const xsd::Schema& target,
-                                       ThreadPool* pool) const {
-  return matcher_.Match(source, target, pool);
+  NotifyReplicated(rec);
 }
 
 MatchResult MatchEngine::Match(const xsd::Schema& source,
                                const xsd::Schema& target) const {
-  QMATCH_SPAN(span, "engine.match");
-  QMATCH_SPAN_ARG(span, "source_nodes", source.NodeCount());
-  QMATCH_SPAN_ARG(span, "target_nodes", target.NodeCount());
-  const bool cached = options_.cache_capacity > 0;
-  CacheKey key;
-  if (cached) {
-    key = MakeKey(source, target);
-    MatchResult hit;
-    if (CacheLookup(key, source, target, &hit)) return hit;
-  }
-  const size_t pairs = source.NodeCount() * target.NodeCount();
-  // The untyped API has no deadline to bound a queue wait and no way to
-  // return a typed shed, so it applies pure backpressure: block until
-  // capacity frees up. Callers that want load shedding use the typed Match.
-  AdmissionPermit permit;
-  admission_.AdmitBlocking(std::max<uint64_t>(1, pairs), &permit);
-  ThreadPool* pool =
-      (threads_ > 1 && pairs >= options_.min_parallel_pairs) ? pool_.get()
-                                                             : nullptr;
-  MatchResult result = MatchUncached(source, target, pool);
-  if (cached) CacheStore(key, result);
-  return result;
+  return Match(source, target, EngineRequestOptions{}).result;
 }
 
 match::SimilarityMatrix MatchEngine::Similarity(
     const xsd::Schema& source, const xsd::Schema& target) const {
-  const size_t pairs = source.NodeCount() * target.NodeCount();
-  ThreadPool* pool =
-      (threads_ > 1 && pairs >= options_.min_parallel_pairs) ? pool_.get()
-                                                             : nullptr;
-  return matcher_.Similarity(source, target, pool);
+  return matcher_.Similarity(
+      source, target, FillPool(source.NodeCount() * target.NodeCount()));
 }
 
 std::vector<MatchResult> MatchEngine::MatchAll(
     const std::vector<MatchJob>& jobs) const {
-  std::vector<MatchResult> results(jobs.size());
-  if (jobs.empty()) return results;
-  if (jobs.size() == 1) {
-    // A single job gets the row-parallel fill instead of job fan-out.
-    results[0] = Match(*jobs[0].source, *jobs[0].target);
-    return results;
-  }
-  // Fan jobs out across the pool; each job fills its own table
-  // sequentially (the batch already saturates the workers, and one table
-  // per thread keeps memory locality). Determinism: slot i is written by
-  // exactly one task and holds the result of jobs[i] no matter which
-  // worker ran it or in what order.
-  QMATCH_SPAN(span, "engine.match_all");
-  QMATCH_SPAN_ARG(span, "jobs", jobs.size());
-  QMATCH_OBS_ONLY(const uint64_t fanout_start_ns = obs::MonotonicNowNs();)
-  pool_->ParallelFor(jobs.size(), [&](size_t i) {
-    const bool cached = options_.cache_capacity > 0;
-    CacheKey key;
-    if (cached) {
-      key = MakeKey(*jobs[i].source, *jobs[i].target);
-      if (CacheLookup(key, *jobs[i].source, *jobs[i].target, &results[i])) {
-        return;
-      }
-    }
-    AdmissionPermit permit;
-    admission_.AdmitBlocking(
-        std::max<uint64_t>(1, jobs[i].source->NodeCount() *
-                                  jobs[i].target->NodeCount()),
-        &permit);
-    results[i] = MatchUncached(*jobs[i].source, *jobs[i].target, nullptr);
-    if (cached) CacheStore(key, results[i]);
-  });
-  QMATCH_HISTOGRAM_OBSERVE("engine.batch_fanout_ns",
-                           obs::MonotonicNowNs() - fanout_start_ns);
-  QMATCH_COUNTER_ADD("engine.batch_jobs", jobs.size());
+  std::vector<EngineMatchResult> typed = MatchAll(jobs, EngineRequestOptions{});
+  std::vector<MatchResult> results;
+  results.reserve(typed.size());
+  for (EngineMatchResult& r : typed) results.push_back(std::move(r.result));
   return results;
 }
 
@@ -565,16 +450,17 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
   QMATCH_SPAN_ARG(span, "target_nodes", target.NodeCount());
   EngineMatchResult out;
   out.total_rows = source.NodeCount();
+  // Every refusal below returns this empty, algorithm-stamped result.
+  out.result.algorithm = std::string(matcher_.name());
   const ExecControl control{options.deadline, options.cancel};
   const bool cached = options_.cache_capacity > 0;
-  CacheKey key;
+  LruKey key;
   if (cached) {
-    key = MakeKey(source, target);
-    MatchResult hit;
-    if (CacheLookup(key, source, target, &hit)) {
+    key = LruKey{xsd::SchemaFingerprint(source),
+                 xsd::SchemaFingerprint(target), config_hash_};
+    if (CacheLookup(key, source, target, &out.result)) {
       // A hit is instant and complete, so it is served even when the
       // envelope has already tripped — strictly better than a partial.
-      out.result = std::move(hit);
       out.completed_rows = out.total_rows;
       CountRequestOutcome(out.status);
       return out;
@@ -603,7 +489,6 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
   if (const StopReason stopped = control.Check();
       stopped != StopReason::kNone) {
     out.status = StopStatus(stopped, "match");
-    out.result.algorithm = std::string(matcher_.name());
     CountRequestOutcome(out.status);
     return out;
   }
@@ -652,12 +537,9 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
   // The SoA kernel's scratch arena charges the same request budget as the
   // table, block-by-block; exhaustion surfaces as ArenaExhausted below.
   tree.arena_budget = &request_budget;
-  ThreadPool* pool =
-      (threads_ > 1 && pairs >= options_.min_parallel_pairs) ? pool_.get()
-                                                             : nullptr;
   try {
     QMatch::Analysis analysis =
-        matcher_.Analyze(source, target, pool, &control, tree);
+        matcher_.Analyze(source, target, FillPool(pairs), &control, tree);
     out.completed_rows = analysis.completed_rows();
     out.total_rows = analysis.total_rows();
     switch (analysis.stop_reason()) {
@@ -680,13 +562,15 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
     // the arena.alloc failpoint): same typed rejection as the table charge.
     out.status =
         Status::ResourceExhausted(std::string("match arena: ") + e.what());
-    out.result = MatchResult{};
+    out.result.correspondences.clear();
+    out.result.schema_qom = 0.0;
     out.completed_rows = 0;
   } catch (const std::exception& e) {
     // A throwing failpoint (or any other internal throw) still produces a
     // typed response — no request escapes the status contract.
     out.status = Status::Internal(std::string("match failed: ") + e.what());
-    out.result = MatchResult{};
+    out.result.correspondences.clear();
+    out.result.schema_qom = 0.0;
     out.completed_rows = 0;
   }
   CountRequestOutcome(out.status);
@@ -700,12 +584,19 @@ std::vector<EngineMatchResult> MatchEngine::MatchAll(
   if (jobs.empty()) return results;
   QMATCH_SPAN(span, "engine.match_all_request");
   QMATCH_SPAN_ARG(span, "jobs", jobs.size());
-  // Same determinism contract as the untyped MatchAll: slot i holds the
-  // result of jobs[i] regardless of scheduling. The typed Match never
-  // throws, so the fan-out completes even when every job degrades.
+  QMATCH_OBS_ONLY(const uint64_t fanout_start_ns = obs::MonotonicNowNs();)
+  // Determinism: slot i is written by exactly one task and holds the
+  // result of jobs[i] no matter which worker ran it or in what order. A
+  // job large enough for the row-parallel fill nests it on the same pool
+  // (ParallelFor's caller drains its own loop, so nesting cannot
+  // deadlock). The typed Match never throws, so the fan-out completes
+  // even when every job degrades.
   pool_->ParallelFor(jobs.size(), [&](size_t i) {
     results[i] = Match(*jobs[i].source, *jobs[i].target, options);
   });
+  QMATCH_HISTOGRAM_OBSERVE("engine.batch_fanout_ns",
+                           obs::MonotonicNowNs() - fanout_start_ns);
+  QMATCH_COUNTER_ADD("engine.batch_jobs", jobs.size());
   return results;
 }
 
@@ -736,28 +627,17 @@ Result<std::string> LoadCorpusFile(const std::string& path,
     if (last.code() != StatusCode::kIoError) return last;
     if (attempt + 1 >= max_attempts) break;
     QMATCH_COUNTER_ADD("engine.corpus.load_retries", 1);
-    // Backoff for attempt k: base * 2^k jittered to [50%, 100%], capped,
-    // and clamped so a sleep can never outlive the request deadline. The
-    // jitter stream is seeded per (seed, path, attempt): deterministic to
-    // replay, decorrelated across files so retries do not stampede.
-    Random jitter(options.backoff_seed ^ HashBytes(path) ^
-                  (0x9E3779B97F4A7C15ULL * (attempt + 1)));
-    const auto shift = std::min<size_t>(attempt, 10);
-    auto backoff = std::min<std::chrono::milliseconds>(
-        options.backoff_base * (uint64_t{1} << shift), options.backoff_cap);
-    auto backoff_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(backoff);
-    if (backoff_ns.count() > 0) {
-      const uint64_t span_ns = static_cast<uint64_t>(backoff_ns.count());
-      auto sleep_ns = std::chrono::nanoseconds(
-          static_cast<int64_t>(span_ns / 2 + jitter.Uniform(span_ns / 2 + 1)));
-      const auto remaining = control.deadline.Remaining();
-      if (remaining < sleep_ns) {
-        sleep_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            remaining);
-      }
-      if (sleep_ns.count() > 0) std::this_thread::sleep_for(sleep_ns);
+    // The jitter stream is seeded per (seed, path, attempt): deterministic
+    // to replay, decorrelated across files so retries do not stampede. A
+    // sleep never outlives the request deadline.
+    auto sleep_ns = RetryBackoff(options.backoff_base, options.backoff_cap,
+                                 attempt, options.backoff_seed ^ HashBytes(path));
+    const auto remaining = control.deadline.Remaining();
+    if (remaining < sleep_ns) {
+      sleep_ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(remaining);
     }
+    if (sleep_ns.count() > 0) std::this_thread::sleep_for(sleep_ns);
   }
   return last;
 }
@@ -788,12 +668,7 @@ CorpusMatchResult MatchEngine::MatchCorpus(
     CircuitBreaker* breaker;
     {
       std::lock_guard<std::mutex> lock(breaker_mutex_);
-      breaker = &breakers_
-                     .try_emplace(paths[i],
-                                  CircuitBreakerOptions{
-                                      options_.overload.breaker_failure_threshold,
-                                      options_.overload.breaker_cooldown})
-                     .first->second;
+      breaker = &BreakerLocked(paths[i]);
     }
     if (!breaker->Allow()) {
       entry.status = Status::Overloaded(paths[i] + ": circuit breaker open");

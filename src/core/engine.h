@@ -10,6 +10,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/admission.h"
@@ -226,8 +227,11 @@ class MatchEngine : public Matcher {
   /// Resolved total parallelism (>= 1).
   size_t threads() const { return threads_; }
 
-  /// Matches one pair, using the row-parallel table fill for large tables
-  /// and serving/filling the result cache.
+  /// Matches one pair: the typed Match with the default (unbounded)
+  /// envelope, returning its `.result`. With the default OverloadOptions
+  /// that is the full result; on an overload-configured engine the request
+  /// is admitted, charged and possibly degraded like any other, and a
+  /// refusal returns an empty, algorithm-stamped result.
   MatchResult Match(const xsd::Schema& source,
                     const xsd::Schema& target) const override;
 
@@ -236,10 +240,10 @@ class MatchEngine : public Matcher {
   match::SimilarityMatrix Similarity(const xsd::Schema& source,
                                      const xsd::Schema& target) const override;
 
-  /// Matches every job, fanning jobs out across the pool. results[i]
-  /// always corresponds to jobs[i] and every result is bit-identical to a
-  /// sequential `QMatch::Match` on the same pair, regardless of thread
-  /// count or completion order.
+  /// The typed MatchAll with the default envelope, returning each `.result`.
+  /// results[i] always corresponds to jobs[i] and every result is
+  /// bit-identical to a sequential `QMatch::Match` on the same pair,
+  /// regardless of thread count or completion order.
   std::vector<MatchResult> MatchAll(const std::vector<MatchJob>& jobs) const;
 
   /// Convenience fan-out of one query against a candidate repository —
@@ -248,18 +252,22 @@ class MatchEngine : public Matcher {
       const xsd::Schema& query,
       const std::vector<const xsd::Schema*>& candidates) const;
 
-  /// Deadline/cancellation-aware single match. Never blocks past the
-  /// deadline (modulo one node-pair of slack): the TreeMatch table fill
-  /// polls the envelope at node-pair granularity and returns a typed
-  /// partial result instead of running to completion. A FailpointException
-  /// or other internal throw is converted to a kInternal status — the
-  /// request always returns, typed. Degraded results are never cached.
+  /// Deadline/cancellation-aware single match — the one request path every
+  /// match takes: cache lookup, admission, degradation, memory-budget
+  /// charge, the table fill (row-parallel for large tables), cache store.
+  /// Never blocks past the deadline (modulo one node-pair of slack): the
+  /// TreeMatch table fill polls the envelope at node-pair granularity and
+  /// returns a typed partial result instead of running to completion. A
+  /// FailpointException or other internal throw is converted to a kInternal
+  /// status — the request always returns, typed. Degraded results are
+  /// never cached.
   EngineMatchResult Match(const xsd::Schema& source, const xsd::Schema& target,
                           const EngineRequestOptions& options) const;
 
   /// Batch fan-out with a shared request envelope: results[i] corresponds
   /// to jobs[i] and each carries its own typed status (a deadline trips
-  /// jobs still running; completed jobs keep their full results).
+  /// jobs still running; completed jobs keep their full results). A large
+  /// job nests the row-parallel fill inside the job fan-out.
   std::vector<EngineMatchResult> MatchAll(
       const std::vector<MatchJob>& jobs,
       const EngineRequestOptions& options) const;
@@ -315,8 +323,10 @@ class MatchEngine : public Matcher {
   void ApplyReplicatedCorpusEntry(const persist::CorpusEntryRec& rec);
 
   /// Full durable state (cache entries oldest-first + corpus index) as
-  /// persistable records — the replication snapshot anchor a primary sends
-  /// to a standby that is too far behind to catch up from the log.
+  /// persistable records — what compaction snapshots, and the replication
+  /// anchor a primary sends to a standby that is too far behind to catch
+  /// up from the log. Oldest-first order makes warm-start replay reproduce
+  /// the LRU recency.
   persist::StoreState ExportState() const;
 
   /// Live load signal in [0, 1]: max of admission pressure (cost/queue
@@ -329,51 +339,35 @@ class MatchEngine : public Matcher {
   const MemoryBudget& process_budget() const { return process_budget_; }
 
  private:
-  struct CacheKey {
-    uint64_t source_fp = 0;
-    uint64_t target_fp = 0;
-    uint64_t config_hash = 0;
-    friend auto operator<=>(const CacheKey&, const CacheKey&) = default;
-  };
-  /// Cached results store paths, not node pointers: a later call may pass
-  /// different Schema objects with the same fingerprint, so pointers are
-  /// rehydrated against the caller's schemas on every hit.
-  struct CachedCorrespondence {
-    std::string source_path;
-    std::string target_path;
-    double score = 0.0;
-  };
-  struct CacheEntry {
-    CacheKey key;
-    std::string algorithm;
-    double schema_qom = 0.0;
-    std::vector<CachedCorrespondence> correspondences;
-  };
+  /// LRU index key: (source fingerprint, target fingerprint, config hash).
+  using LruKey = std::tuple<uint64_t, uint64_t, uint64_t>;
+  static LruKey KeyOf(const persist::CacheEntryRec& rec);
 
-  MatchResult MatchUncached(const xsd::Schema& source,
-                            const xsd::Schema& target, ThreadPool* pool) const;
-  bool CacheLookup(const CacheKey& key, const xsd::Schema& source,
+  /// The row-parallel fill pool for a table of `pairs` node pairs, or null
+  /// when the table is too small (or the engine sequential) to fan out.
+  ThreadPool* FillPool(size_t pairs) const;
+  bool CacheLookup(const LruKey& key, const xsd::Schema& source,
                    const xsd::Schema& target, MatchResult* out) const;
-  void CacheStore(const CacheKey& key, const MatchResult& result) const;
-  CacheKey MakeKey(const xsd::Schema& source, const xsd::Schema& target) const;
+  void CacheStore(const LruKey& key, const MatchResult& result) const;
 
   /// Opens the persistent store and warm-starts the cache, breakers and
   /// corpus index from it. A store that cannot open leaves the engine fully
   /// functional, just cold.
   void InitPersist();
-  /// Idempotent last-wins LRU upsert of one persisted cache record; caller
-  /// holds cache_mutex_ and has already verified the config hash.
-  void UpsertCacheRecLocked(const persist::CacheEntryRec& rec) const;
+  /// Idempotent last-wins LRU upsert of one cache record, evicting (and
+  /// counting) past capacity; caller holds cache_mutex_ and has already
+  /// verified the config hash.
+  void UpsertCacheRecLocked(persist::CacheEntryRec rec) const;
   /// Corpus-index + breaker upsert of one persisted record; caller holds
   /// breaker_mutex_.
   void UpsertCorpusRecLocked(const persist::CorpusEntryRec& rec) const;
+  /// The circuit breaker of one corpus path, created on first use; caller
+  /// holds breaker_mutex_.
+  CircuitBreaker& BreakerLocked(const std::string& path) const;
   /// Invoke the replication observer (if set) outside every engine lock.
   void NotifyReplicated(const persist::CacheEntryRec& rec) const;
   void NotifyReplicated(const persist::CorpusEntryRec& rec) const;
   bool HasReplicationObserver() const;
-  /// Full in-memory state as persistable records, cache in oldest-first
-  /// order so warm-start replay reproduces today's LRU recency.
-  persist::StoreState SnapshotState() const;
   void MaybeCompactPersist() const;
 
   QMatch matcher_;
@@ -391,8 +385,14 @@ class MatchEngine : public Matcher {
   mutable std::map<std::string, CircuitBreaker> breakers_;
 
   mutable std::mutex cache_mutex_;
-  mutable std::list<CacheEntry> cache_lru_;  // front = most recent
-  mutable std::map<CacheKey, std::list<CacheEntry>::iterator> cache_index_;
+  /// The cache holds the same record the journal and the replication
+  /// stream carry: correspondences by path, not node pointer, because a
+  /// later call may pass different Schema objects with the same
+  /// fingerprint, so pointers are rehydrated against the caller's schemas
+  /// on every hit.
+  mutable std::list<persist::CacheEntryRec> cache_lru_;  // front = most recent
+  mutable std::map<LruKey, std::list<persist::CacheEntryRec>::iterator>
+      cache_index_;
   mutable MatchEngineCacheStats cache_stats_;
 
   /// Crash-safe persistence (null = off). The store has its own mutex;

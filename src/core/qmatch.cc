@@ -123,23 +123,6 @@ std::map<qom::MatchCategory, size_t> QMatch::Analysis::CategoryHistogram()
 }
 
 QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
-                                 const xsd::Schema& target) const {
-  return Analyze(source, target, nullptr, nullptr);
-}
-
-QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
-                                 const xsd::Schema& target,
-                                 ThreadPool* pool) const {
-  return Analyze(source, target, pool, nullptr);
-}
-
-QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
-                                 const xsd::Schema& target, ThreadPool* pool,
-                                 const ExecControl* control) const {
-  return Analyze(source, target, pool, control, TreeMatchOptions{});
-}
-
-QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
                                  const xsd::Schema& target, ThreadPool* pool,
                                  const ExecControl* control,
                                  const TreeMatchOptions& tree) const {
@@ -223,31 +206,37 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   const double* qom = analysis.qom_.get();
   const uint8_t* label_cls = analysis.label_cls_.get();
   const std::vector<char>& row_done = analysis.row_done_;
-  // Pairs without label evidence are never reported (see QMatchConfig).
-  auto has_label_evidence = [&](size_t i, size_t j) {
-    return label_cls[static_cast<size_t>(src.label_id[i]) * ml +
-                     tgt.label_id[j]] !=
-           static_cast<uint8_t>(qom::AxisMatch::kNone);
-  };
 #if QMATCH_OBS_ENABLED
   const uint64_t select_start = obs::MonotonicNowNs();
 #endif
+  // Correspondences are selected from the QoM table per the configured
+  // assignment strategy over `sources`, whose k-th entry is table row
+  // row(k). Each call site passes its own row map as a lambda, so the
+  // full run's identity map compiles down to a direct table read.
+  auto select_rows = [&](const std::vector<const xsd::SchemaNode*>& sources,
+                         auto row) {
+    match::AssignmentInput input;
+    input.sources = &sources;
+    input.targets = &tgt.nodes;
+    input.score = [&, row](size_t i, size_t j) { return qom[row(i) * m + j]; };
+    // Pairs without label evidence are never reported (see QMatchConfig).
+    if (config_.require_label_evidence) {
+      input.eligible = [&, row](size_t i, size_t j) {
+        return label_cls[static_cast<size_t>(src.label_id[row(i)]) * ml +
+                         tgt.label_id[j]] !=
+               static_cast<uint8_t>(qom::AxisMatch::kNone);
+      };
+    }
+    input.threshold = config_.threshold;
+    input.ambiguity_margin = config_.ambiguity_margin;
+    analysis.result_.correspondences =
+        match::SelectCorrespondences(input, config_.assignment);
+  };
 
   if (analysis.stop_reason_ == StopReason::kNone) {
-    // Correspondences: extracted from the QoM table per the configured
-    // assignment strategy (default: best target per source node, the set P
-    // evaluated in Section 5).
-    match::AssignmentInput assignment_input;
-    assignment_input.sources = &src.nodes;
-    assignment_input.targets = &tgt.nodes;
-    assignment_input.score = [&](size_t i, size_t j) { return qom[i * m + j]; };
-    if (config_.require_label_evidence) {
-      assignment_input.eligible = has_label_evidence;
-    }
-    assignment_input.threshold = config_.threshold;
-    assignment_input.ambiguity_margin = config_.ambiguity_margin;
-    analysis.result_.correspondences =
-        match::SelectCorrespondences(assignment_input, config_.assignment);
+    // The whole table (default strategy: the best target per source node,
+    // the set P evaluated in Section 5).
+    select_rows(src.nodes, [](size_t i) { return i; });
     analysis.result_.schema_qom = qom[0];
     QMATCH_COUNTER_ADD("qmatch.treematch.select_ns",
                        obs::MonotonicNowNs() - select_start);
@@ -275,21 +264,7 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
         done_rows.push_back(i);
       }
     }
-    match::AssignmentInput partial_input;
-    partial_input.sources = &done_sources;
-    partial_input.targets = &tgt.nodes;
-    partial_input.score = [&](size_t i, size_t j) {
-      return qom[done_rows[i] * m + j];
-    };
-    if (config_.require_label_evidence) {
-      partial_input.eligible = [&](size_t i, size_t j) {
-        return has_label_evidence(done_rows[i], j);
-      };
-    }
-    partial_input.threshold = config_.threshold;
-    partial_input.ambiguity_margin = config_.ambiguity_margin;
-    analysis.result_.correspondences =
-        match::SelectCorrespondences(partial_input, config_.assignment);
+    select_rows(done_sources, [&](size_t k) { return done_rows[k]; });
   }
   // The schema-level QoM lives in the root pair, which is computed last;
   // report it only when that row actually finished.

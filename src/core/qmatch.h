@@ -174,37 +174,31 @@ class QMatch : public Matcher {
     size_t completed_rows_ = 0;
   };
 
-  Analysis Analyze(const xsd::Schema& source, const xsd::Schema& target) const;
-
-  /// Pool-parallel variant (nullptr = sequential; see the three-argument
-  /// Match for the determinism contract).
-  Analysis Analyze(const xsd::Schema& source, const xsd::Schema& target,
-                   ThreadPool* pool) const;
-
-  /// Deadline/cancellation-aware variant: `control` (nullable) is polled
-  /// once per row of the label and property matrices and once per node pair
-  /// during the row fill. When it trips, the fill
-  /// stops cooperatively and the returned Analysis carries stop_reason()
-  /// plus a *monotone partial result*: correspondences are extracted only
-  /// from fully completed source rows, whose cells are bit-identical to the
+  /// Runs the table fill, optionally across `pool` (nullptr = sequential;
+  /// see the three-argument Match for the determinism contract).
+  ///
+  /// `control` (nullable) makes the run deadline/cancellation-aware: it is
+  /// polled once per row of the label and property matrices and once per
+  /// node pair during the row fill. When it trips, the fill stops
+  /// cooperatively and the returned Analysis carries stop_reason() plus a
+  /// *monotone partial result*: correspondences are extracted only from
+  /// fully completed source rows, whose cells are bit-identical to the
   /// uninterrupted run's, so every reported pair is one the fault-free run
   /// would also report (kBestPerSource only — the injective strategies need
   /// the whole table, so a stopped run reports no correspondences there).
-  /// A null or inactive `control` is byte-for-byte the plain Analyze.
+  /// A null or inactive `control` is byte-for-byte the uncontrolled run.
+  ///
+  /// `tree.mode` selects the rung of the overload ladder. kLabelOnly skips
+  /// the children axis entirely and renormalizes the remaining weights per
+  /// Eq. 6/7 (the label, property and level axis values stay bit-identical
+  /// to the full run — only the weighting and the dropped axis change).
+  /// kCappedDepth treats nodes at `tree.children_depth_cap` or deeper as
+  /// leaves on the children axis. The result records the active mode;
+  /// kFull (the default) is the undegraded algorithm.
   Analysis Analyze(const xsd::Schema& source, const xsd::Schema& target,
-                   ThreadPool* pool, const ExecControl* control) const;
-
-  /// Degradation-aware variant: `tree.mode` selects the rung of the
-  /// overload ladder. kLabelOnly skips the children axis entirely and
-  /// renormalizes the remaining weights per Eq. 6/7 (the label, property
-  /// and level axis values stay bit-identical to the full run — only the
-  /// weighting and the dropped axis change). kCappedDepth treats nodes at
-  /// `tree.children_depth_cap` or deeper as leaves on the children axis.
-  /// The result records the active mode. kFull is byte-for-byte the
-  /// four-argument Analyze.
-  Analysis Analyze(const xsd::Schema& source, const xsd::Schema& target,
-                   ThreadPool* pool, const ExecControl* control,
-                   const TreeMatchOptions& tree) const;
+                   ThreadPool* pool = nullptr,
+                   const ExecControl* control = nullptr,
+                   const TreeMatchOptions& tree = {}) const;
 
  private:
   QMatchConfig config_;

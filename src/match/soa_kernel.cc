@@ -265,7 +265,11 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   if (should_stop()) return finish();
   const size_t nl = source.labels.size();
   const size_t ml = target.labels.size();
-  double* label_score = arena->MakeArray<double>(nl * ml);
+  // Uninitialised: each label row is written in full before any cell is
+  // read, and zeroing the whole matrix up front would be an unpolled pass
+  // over tens of MB on large schemas.
+  double* label_score = static_cast<double*>(
+      arena->Allocate(nl * ml * sizeof(double), alignof(double)));
   lingua::PairwiseLabelScorer scorer(*config.name_matcher, source.labels,
                                      target.labels);
   auto fill_label_row = [&](size_t a) {

@@ -4,7 +4,7 @@
 #include <thread>
 #include <utility>
 
-#include "common/random.h"
+#include "common/backoff.h"
 #include "obs/obs.h"
 
 namespace qmatch::net {
@@ -15,28 +15,7 @@ using std::chrono::milliseconds;
 using std::chrono::nanoseconds;
 using std::chrono::steady_clock;
 
-constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
-
 }  // namespace
-
-nanoseconds RetryBackoff(milliseconds base, milliseconds cap, uint64_t attempt,
-                         uint64_t seed) {
-  if (base.count() <= 0) return nanoseconds(0);
-  // min(base * 2^attempt, cap), with the shift clamped so it cannot
-  // overflow before the cap comparison gets a say.
-  const uint64_t shift = std::min<uint64_t>(attempt, 20);
-  int64_t span_ms = base.count() << shift;
-  if (span_ms <= 0 || (cap.count() > 0 && span_ms > cap.count())) {
-    span_ms = cap.count() > 0 ? cap.count() : base.count();
-  }
-  // Jitter to [span/2, span]: decorrelates a thundering herd while keeping
-  // the schedule fully reproducible from (seed, attempt).
-  Random jitter(seed ^ (kGolden * (attempt + 1)));
-  const int64_t span_ns = span_ms * 1'000'000;
-  return nanoseconds(span_ns / 2 +
-                     static_cast<int64_t>(jitter.Uniform(
-                         static_cast<uint64_t>(span_ns / 2) + 1)));
-}
 
 ResilientClient::ResilientClient(ResilientClientOptions options)
     : options_(std::move(options)),

@@ -42,18 +42,12 @@ struct ResilientClientOptions {
 
   /// Jittered exponential backoff between attempts: attempt n sleeps
   /// uniformly in [d/2, d] where d = min(base * 2^n, cap). Deterministic
-  /// under a fixed seed (RetryBackoff below is the exact function).
+  /// under a fixed seed (common/backoff.h's RetryBackoff is the exact
+  /// function).
   std::chrono::milliseconds backoff_base{10};
   std::chrono::milliseconds backoff_cap{500};
   uint64_t backoff_seed = 0;
 };
-
-/// The backoff schedule, exposed as a pure function so tests can assert
-/// determinism: same (base, cap, attempt, seed) -> same sleep, always in
-/// [d/2, d]. base <= 0 disables sleeping entirely.
-std::chrono::nanoseconds RetryBackoff(std::chrono::milliseconds base,
-                                      std::chrono::milliseconds cap,
-                                      uint64_t attempt, uint64_t seed);
 
 struct ResilientClientStats {
   uint64_t retries = 0;     ///< attempts after the first, across all calls

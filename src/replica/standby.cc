@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/backoff.h"
 #include "fault/failpoint.h"
 #include "net/client.h"
-#include "net/resilient_client.h"
 #include "obs/obs.h"
 #include "persist/snapshot.h"
 
@@ -90,8 +90,8 @@ void Standby::Run() {
     reconnects_.fetch_add(1, std::memory_order_relaxed);
     QMATCH_COUNTER_ADD("replica.reconnects", 1);
     InterruptibleSleep(
-        net::RetryBackoff(options_.backoff_base, options_.backoff_cap,
-                          failures, options_.backoff_seed),
+        RetryBackoff(options_.backoff_base, options_.backoff_cap, failures,
+                     options_.backoff_seed),
         stop_);
   }
 }

@@ -86,12 +86,6 @@ FlatSchema BuildFlatSchema(const Schema& schema) {
     }
   }
   flat.child_begin.push_back(static_cast<uint32_t>(flat.child_index.size()));
-
-  // Thesaurus-ready prepared form once per distinct label, not per node.
-  flat.prepared.reserve(flat.labels.size());
-  for (const std::string& label : flat.labels) {
-    flat.prepared.push_back(lingua::NameMatcher::Prepare(label));
-  }
   return flat;
 }
 

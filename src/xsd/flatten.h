@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "lingua/name_match.h"
 #include "xsd/schema.h"
 
 namespace qmatch::xsd {
@@ -30,7 +29,7 @@ struct FlatSchema {
 
   // --- per-node columns, preorder-indexed (0 = root) --------------------
   std::vector<const SchemaNode*> nodes;  // borrowed tree nodes
-  std::vector<uint32_t> label_id;        // index into labels/prepared
+  std::vector<uint32_t> label_id;        // index into labels
   std::vector<uint32_t> prop_id;         // index into prop_keys
   std::vector<uint32_t> level;           // depth from root (root = 0)
   std::vector<uint32_t> parent;          // preorder index; kNoParent at root
@@ -43,11 +42,9 @@ struct FlatSchema {
   std::vector<uint32_t> child_index;  // size() - 1 entries (all but root)
 
   // --- interned label table ----------------------------------------------
-  // Distinct label strings in first-occurrence (preorder) order, with the
-  // thesaurus-ready prepared form (canonical string + singularised tokens)
-  // resolved once per distinct label instead of once per node.
+  // Distinct label strings in first-occurrence (preorder) order; the label
+  // axis scores each distinct pair once (lingua::PairwiseLabelScorer).
   std::vector<std::string> labels;
-  std::vector<lingua::PreparedLabel> prepared;
 
   // --- packed property descriptors ---------------------------------------
   /// Exactly the node fields match::MatchProperties reads — the property

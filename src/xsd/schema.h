@@ -204,12 +204,12 @@ class Schema {
   const SchemaNode* FindByPath(std::string_view path) const;
 
   /// The structure-of-arrays projection of this tree (see xsd/flatten.h):
-  /// interned labels with prepared token lists, packed property
-  /// descriptors, level vectors and CSR child ranges — everything the SoA
-  /// match kernel reads, built lazily on first use and cached until the
-  /// tree changes (Finalize/set_root/TakeRoot invalidate it). Thread-safe
-  /// against concurrent Flat() calls; the returned reference lives as long
-  /// as the schema does (or until invalidation).
+  /// interned labels, packed property descriptors, level vectors and CSR
+  /// child ranges — everything the SoA match kernel reads, built lazily
+  /// on first use and cached until the tree changes (Finalize/set_root/
+  /// TakeRoot invalidate it). Thread-safe against concurrent Flat() calls;
+  /// the returned reference lives as long as the schema does (or until
+  /// invalidation).
   const FlatSchema& Flat() const;
 
   /// Deep copy of this schema.

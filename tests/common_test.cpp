@@ -1,13 +1,17 @@
-// Unit tests for src/common: Status, Result, string utilities, Random.
+// Unit tests for src/common: Status, Result, string utilities, Random,
+// RetryBackoff.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <set>
 #include <vector>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/backoff.h"
 #include "common/file_util.h"
 #include "fault/failpoint.h"
 #include "common/logging.h"
@@ -18,6 +22,9 @@
 
 namespace qmatch {
 namespace {
+
+using std::chrono::milliseconds;
+using std::chrono::nanoseconds;
 
 // --- Status ---------------------------------------------------------------
 
@@ -470,6 +477,78 @@ TEST(LoggingTest, CheckSuccessIsSilentAndCheap) {
   };
   QMATCH_CHECK(2 + 2 == 4) << count();
   EXPECT_EQ(evaluations, 0) << "stream args must not evaluate on success";
+}
+
+// --- RetryBackoff -----------------------------------------------------------
+
+TEST(RetryBackoffTest, DeterministicUnderAFixedSeed) {
+  for (uint64_t attempt = 0; attempt < 8; ++attempt) {
+    const nanoseconds a =
+        RetryBackoff(milliseconds(10), milliseconds(500), attempt, 42);
+    const nanoseconds b =
+        RetryBackoff(milliseconds(10), milliseconds(500), attempt, 42);
+    EXPECT_EQ(a.count(), b.count()) << "attempt " << attempt;
+  }
+}
+
+TEST(RetryBackoffTest, JitterStaysWithinHalfToFullSpan) {
+  const int64_t base = 10, cap = 500;
+  for (uint64_t attempt = 0; attempt < 16; ++attempt) {
+    const int64_t span_ms =
+        std::min<int64_t>(base << std::min<uint64_t>(attempt, 20), cap);
+    const nanoseconds d = RetryBackoff(milliseconds(base), milliseconds(cap),
+                                       attempt, /*seed=*/7);
+    EXPECT_GE(d.count(), span_ms * 1'000'000 / 2) << "attempt " << attempt;
+    EXPECT_LE(d.count(), span_ms * 1'000'000) << "attempt " << attempt;
+  }
+}
+
+TEST(RetryBackoffTest, ZeroBaseDisablesSleeping) {
+  EXPECT_EQ(RetryBackoff(milliseconds(0), milliseconds(500), 3, 9).count(), 0);
+}
+
+TEST(RetryBackoffTest, SeedsDecorrelateTheHerd) {
+  // Two clients with different seeds must not march in lockstep: at least
+  // one attempt in the window differs.
+  bool differs = false;
+  for (uint64_t attempt = 0; attempt < 8 && !differs; ++attempt) {
+    differs = RetryBackoff(milliseconds(10), milliseconds(500), attempt, 1) !=
+              RetryBackoff(milliseconds(10), milliseconds(500), attempt, 2);
+  }
+  EXPECT_TRUE(differs);
+}
+
+TEST(RetryBackoffTest, CorpusLoaderScheduleIsUnchanged) {
+  // The corpus loader seeds the shared schedule with
+  // backoff_seed ^ FNV-1a(path); these durations were computed with the
+  // loader's earlier inline formula (base * 2^attempt capped, jittered to
+  // [50%, 100%] on the same seeded stream) for the default seed 0x51D3CAFE
+  // and the paths "data/schemas/PO1.xsd" and "corpus/missing.xsd".
+  struct Pinned {
+    uint64_t seed;
+    int64_t base_ms;
+    int64_t cap_ms;
+    uint64_t attempt;
+    int64_t ns;
+  };
+  constexpr uint64_t kPo1 = 0x3d1e82bc16b470e6ULL;
+  constexpr uint64_t kMissing = 0x6841b04057764741ULL;
+  const Pinned pinned[] = {
+      {kPo1, 1, 50, 0, 921973},          {kPo1, 1, 50, 1, 1599214},
+      {kPo1, 1, 50, 2, 3828252},         {kPo1, 1, 50, 6, 29886740},
+      {kPo1, 1, 50, 7, 25850175},        {kPo1, 5, 50, 2, 19676293},
+      {kPo1, 10, 100, 3, 40254627},      {kMissing, 1, 50, 0, 513194},
+      {kMissing, 1, 50, 2, 2390923},     {kMissing, 1, 50, 7, 31534762},
+      {kMissing, 10, 100, 3, 73576484},
+  };
+  for (const Pinned& p : pinned) {
+    EXPECT_EQ(RetryBackoff(milliseconds(p.base_ms), milliseconds(p.cap_ms),
+                           p.attempt, p.seed)
+                  .count(),
+              p.ns)
+        << "base " << p.base_ms << " cap " << p.cap_ms << " attempt "
+        << p.attempt;
+  }
 }
 
 }  // namespace

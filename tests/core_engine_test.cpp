@@ -135,6 +135,9 @@ TEST(MatchEngineDifferentialTest, SimilarityMatrixIdentical) {
 }
 
 TEST(MatchEngineDifferentialTest, MatchAllIsInputOrderedAndIdentical) {
+  // More jobs than threads, each large enough (min_parallel_pairs = 1) to
+  // take the row-parallel fill from inside a batch worker: the nested
+  // fan-out must still reproduce the sequential reference bit for bit.
   const QMatch reference;
   std::vector<xsd::Schema> sources;
   std::vector<xsd::Schema> targets;
@@ -142,11 +145,15 @@ TEST(MatchEngineDifferentialTest, MatchAllIsInputOrderedAndIdentical) {
     sources.push_back(task.source());
     targets.push_back(task.target());
   }
+  for (GeneratedPair& pair : GeneratedPairs(8)) {
+    sources.push_back(std::move(pair.source));
+    targets.push_back(std::move(pair.target));
+  }
   std::vector<MatchJob> jobs;
   for (size_t i = 0; i < sources.size(); ++i) {
     jobs.push_back(MatchJob{&sources[i], &targets[i]});
   }
-  for (size_t threads : {1u, 2u, 8u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     MatchEngine engine(EngineOptions(threads));
     const std::vector<MatchResult> results = engine.MatchAll(jobs);
     ASSERT_EQ(results.size(), jobs.size());

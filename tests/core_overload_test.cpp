@@ -1,5 +1,6 @@
 // Unit tests for the engine's overload-protection layer: typed memory
-// budget rejection, the pressure-driven degradation ladder (and its
+// budget rejection (the untyped Match included), the deadline bound on a
+// generated 4000x4000 pair, the pressure-driven degradation ladder (and its
 // per-request force_mode override), the no-degraded-results-in-cache rule,
 // the per-corpus-entry circuit breaker, and the acceptance contract that a
 // label-only run matches the full run bit-identically on the label,
@@ -17,15 +18,22 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/file_util.h"
 #include "core/qmatch.h"
+#include "datagen/generator.h"
 #include "fault/failpoint.h"
 #include "match/soa_kernel.h"
+#include "obs/obs.h"
+#include "test_util.h"
 #include "xsd/flatten.h"
 #include "xsd/parser.h"
 
 namespace qmatch::core {
 namespace {
+
+using std::chrono::milliseconds;
+using std::chrono::steady_clock;
 
 bool BitEqual(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
@@ -197,6 +205,79 @@ TEST(OverloadEngineTest, CompactTableChargeAdmitsProteinUnderTheOldCharge) {
         engine.Match(source, target, EngineRequestOptions{});
     EXPECT_EQ(out.status.code(), StatusCode::kResourceExhausted);
     EXPECT_TRUE(out.result.correspondences.empty());
+  }
+}
+
+TEST(OverloadEngineTest, UntypedMatchIsChargedToTheRequestBudget) {
+  // The untyped Match runs through the typed request path, so the request
+  // budget binds it too: one byte below the compact table it returns the
+  // empty, algorithm-stamped refusal, counted as resource-exhausted.
+  const xsd::Schema source = LoadSchema("PO1.xsd");
+  const xsd::Schema target = LoadSchema("PO2.xsd");
+  MatchEngineOptions options;
+  options.threads = 1;
+  options.cache_capacity = 0;
+  options.overload.request_budget_bytes =
+      match::CompactTableBytes(source.Flat(), target.Flat()) - 1;
+  MatchEngine engine(options);
+#if QMATCH_OBS_ENABLED
+  obs::Counter& exhausted =
+      obs::Registry::Global().GetCounter("engine.requests_resource_exhausted");
+  const uint64_t exhausted_before = exhausted.Value();
+#endif
+  const MatchResult refused = engine.Match(source, target);
+  EXPECT_TRUE(refused.correspondences.empty());
+  EXPECT_EQ(refused.schema_qom, 0.0);
+  EXPECT_EQ(refused.algorithm, "hybrid");
+  const std::vector<MatchResult> batch =
+      engine.MatchAll({MatchJob{&source, &target}, MatchJob{&source, &target}});
+  ASSERT_EQ(batch.size(), 2u);
+  for (const MatchResult& r : batch) EXPECT_TRUE(r.correspondences.empty());
+#if QMATCH_OBS_ENABLED
+  EXPECT_EQ(exhausted.Value() - exhausted_before, 3u);
+#endif
+  EXPECT_EQ(engine.process_budget().used(), 0u);
+
+  // An unbudgeted engine returns the full result for the same pair.
+  options.overload.request_budget_bytes = 0;
+  MatchEngine unbudgeted(options);
+  EXPECT_FALSE(unbudgeted.Match(source, target).correspondences.empty());
+}
+
+TEST(OverloadEngineTest, GeneratedLargePairHonoursTheDeadline) {
+  // A generated 4000x4000 pair (16M node pairs; seconds of unbounded
+  // work) with a short deadline returns typed within the slack bound on
+  // the sequential driver and on the pool driver.
+  datagen::GeneratorOptions gen;
+  gen.element_count = 4000;
+  gen.max_depth = 8;
+  gen.seed = 4000;
+  gen.name = "Large4000a";
+  const xsd::Schema source = datagen::GenerateSchema(gen);
+  gen.seed = 4001;
+  gen.name = "Large4000b";
+  const xsd::Schema target = datagen::GenerateSchema(gen);
+  ASSERT_GE(source.NodeCount(), 4000u);
+  ASSERT_GE(target.NodeCount(), 4000u);
+  // Flattened up front, so the deadline lands in the kernel.
+  (void)source.Flat();
+  (void)target.Flat();
+  const milliseconds budget = test::Scaled(milliseconds(20));
+  for (size_t threads : {1u, 4u}) {
+    MatchEngineOptions options;
+    options.threads = threads;
+    options.cache_capacity = 0;
+    MatchEngine engine(options);
+    EngineRequestOptions request;
+    request.deadline = Deadline::After(budget);
+    const steady_clock::time_point start = steady_clock::now();
+    const EngineMatchResult out = engine.Match(source, target, request);
+    const auto elapsed = steady_clock::now() - start;
+    EXPECT_EQ(out.status.code(), StatusCode::kDeadlineExceeded)
+        << "threads=" << threads;
+    EXPECT_LT(out.completed_rows, out.total_rows) << "threads=" << threads;
+    EXPECT_LE(elapsed, budget + test::kDeadlineSlack)
+        << "threads=" << threads << ": request overran its deadline";
   }
 }
 

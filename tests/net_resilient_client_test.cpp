@@ -6,8 +6,6 @@
 //  * a transport error after the request bytes were sent is ambiguous —
 //    non-idempotent SubmitSchema surfaces it instead of retrying, while
 //    idempotent requests fail over and retry;
-//  * the backoff schedule is deterministic under a fixed seed and always
-//    lands in [d/2, d];
 //  * the endpoint walk is sticky: stay until failure, then advance in
 //    order.
 
@@ -41,45 +39,6 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::nanoseconds;
 using std::chrono::steady_clock;
-
-// --- the backoff schedule as a pure function -------------------------------
-
-TEST(RetryBackoffTest, DeterministicUnderAFixedSeed) {
-  for (uint64_t attempt = 0; attempt < 8; ++attempt) {
-    const nanoseconds a =
-        RetryBackoff(milliseconds(10), milliseconds(500), attempt, 42);
-    const nanoseconds b =
-        RetryBackoff(milliseconds(10), milliseconds(500), attempt, 42);
-    EXPECT_EQ(a.count(), b.count()) << "attempt " << attempt;
-  }
-}
-
-TEST(RetryBackoffTest, JitterStaysWithinHalfToFullSpan) {
-  const int64_t base = 10, cap = 500;
-  for (uint64_t attempt = 0; attempt < 16; ++attempt) {
-    const int64_t span_ms =
-        std::min<int64_t>(base << std::min<uint64_t>(attempt, 20), cap);
-    const nanoseconds d = RetryBackoff(milliseconds(base), milliseconds(cap),
-                                       attempt, /*seed=*/7);
-    EXPECT_GE(d.count(), span_ms * 1'000'000 / 2) << "attempt " << attempt;
-    EXPECT_LE(d.count(), span_ms * 1'000'000) << "attempt " << attempt;
-  }
-}
-
-TEST(RetryBackoffTest, ZeroBaseDisablesSleeping) {
-  EXPECT_EQ(RetryBackoff(milliseconds(0), milliseconds(500), 3, 9).count(), 0);
-}
-
-TEST(RetryBackoffTest, SeedsDecorrelateTheHerd) {
-  // Two clients with different seeds must not march in lockstep: at least
-  // one attempt in the window differs.
-  bool differs = false;
-  for (uint64_t attempt = 0; attempt < 8 && !differs; ++attempt) {
-    differs = RetryBackoff(milliseconds(10), milliseconds(500), attempt, 1) !=
-              RetryBackoff(milliseconds(10), milliseconds(500), attempt, 2);
-  }
-  EXPECT_TRUE(differs);
-}
 
 // --- test doubles ----------------------------------------------------------
 

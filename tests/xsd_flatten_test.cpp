@@ -64,7 +64,6 @@ void CheckInvariants(const Schema& schema, const FlatSchema& flat,
   ASSERT_EQ(flat.parent.size(), n) << context;
   ASSERT_EQ(flat.child_begin.size(), n + 1) << context;
   ASSERT_EQ(flat.child_index.size(), n - 1) << context;
-  ASSERT_EQ(flat.prepared.size(), flat.labels.size()) << context;
   ASSERT_EQ(flat.prop_rep.size(), flat.prop_keys.size()) << context;
 
   // Per-node columns mirror the tree, in preorder.
@@ -117,12 +116,6 @@ void CheckInvariants(const Schema& schema, const FlatSchema& flat,
   std::set<std::string> distinct_labels(flat.labels.begin(), flat.labels.end());
   EXPECT_EQ(distinct_labels.size(), flat.labels.size())
       << context << " duplicate interned label";
-  for (size_t k = 0; k < flat.labels.size(); ++k) {
-    const lingua::PreparedLabel expected =
-        lingua::NameMatcher::Prepare(flat.labels[k]);
-    EXPECT_EQ(flat.prepared[k].canonical, expected.canonical) << context;
-    EXPECT_EQ(flat.prepared[k].tokens, expected.tokens) << context;
-  }
   std::set<FlatSchema::PropertyKey> distinct_keys(flat.prop_keys.begin(),
                                                   flat.prop_keys.end());
   EXPECT_EQ(distinct_keys.size(), flat.prop_keys.size())
