@@ -45,16 +45,18 @@ run_tsan() {
   # run here — TSan slows everything ~10x, and the rest of the suite is
   # single-threaded. The corpus and persist engine suites cover the batch
   # fan-out that nests the row-parallel fill, and the cache record the LRU
-  # shares with the journal and the replication observer.
+  # shares with the journal and the replication observer. The token-memo
+  # suite shares one engine's token-similarity memo across eight threads.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DQMATCH_SANITIZE=thread
   cmake --build build-tsan -j "${JOBS}" \
         --target common_thread_pool_test common_thread_pool_soak_test \
                  core_engine_test core_engine_corpus_test \
-                 core_engine_persist_test obs_test net_protocol_test
+                 core_engine_persist_test obs_test net_protocol_test \
+                 lingua_token_memo_test
   TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure \
-        -R 'common_thread_pool_test|common_thread_pool_soak_test|core_engine_test|core_engine_corpus_test|core_engine_persist_test|obs_test|net_protocol_test'
+        -R 'common_thread_pool_test|common_thread_pool_soak_test|core_engine_test|core_engine_corpus_test|core_engine_persist_test|obs_test|net_protocol_test|lingua_token_memo_test'
 }
 
 run_asan() {

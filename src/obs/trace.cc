@@ -24,7 +24,12 @@ Tracer& Tracer::Global() {
   return *tracer;
 }
 
-Tracer::Tracer(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+Tracer::Tracer(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
+  // The whole ring up front: its pages become resident only as events are
+  // written, and Record never doubles it (a copy of up to half the ring
+  // under the lock, with both buffers resident at once).
+  ring_.reserve(capacity_);
+}
 
 void Tracer::Record(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -345,19 +346,20 @@ void ExpectPartialIsOracleSubset(const QMatch::Analysis& partial,
 
 TEST(KernelDiffTest, CancelledPartialsAreBitIdenticalSubsets) {
   // Mid-flight cancellation: slow every pair down via the treematch.pair
-  // failpoint, cancel after a few row-times, and require that the fill
-  // stops with kCancelled and a non-trivial partial that is a bit-identical
-  // subset of the oracle — the monotone-partial contract of DESIGN.md §10 —
-  // sequentially and across a pool.
+  // failpoint, cancel once about four rows' worth of pairs has passed it,
+  // and require that the fill stops with kCancelled and a non-trivial
+  // partial that is a bit-identical subset of the oracle — the
+  // monotone-partial contract of DESIGN.md §10 — sequentially and across a
+  // pool.
   const QMatch matcher;
   const QMatchOracle oracle;
   std::vector<GeneratedCase> cases = GeneratedCases();
   const GeneratedCase& c = cases[1];  // 60 nodes x perturbed partner
   const OracleRun want = oracle.Run(c.source, c.target);
-  // ~1ms per pair => one table row takes ~|target| ms; cancel after about
-  // four row-times so some rows complete and many do not.
-  const auto cancel_after =
-      std::chrono::milliseconds(4 * static_cast<int64_t>(want.targets.size()));
+  // The failpoint counts a hit as each cell is written, so the cancel is
+  // timed by the row fill's own progress: the unslowed precompute before
+  // it and host noise cannot land the cancel before any row completes.
+  const uint64_t cancel_at_hits = 4 * want.targets.size();
   ThreadPool pool(2);
   for (ThreadPool* driver : {static_cast<ThreadPool*>(nullptr), &pool}) {
     fault::FaultSpec slow;
@@ -368,12 +370,16 @@ TEST(KernelDiffTest, CancelledPartialsAreBitIdenticalSubsets) {
     CancellationToken token;
     ExecControl control;
     control.cancel = &token;
-    std::thread canceller([&token, cancel_after] {
-      std::this_thread::sleep_for(cancel_after);
+    std::atomic<bool> analyzed{false};
+    std::thread canceller([&] {
+      while (!analyzed.load() && fp.stats().hits < cancel_at_hits) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
       token.Cancel();
     });
     const QMatch::Analysis partial =
         matcher.Analyze(c.source, c.target, driver, &control);
+    analyzed.store(true);
     canceller.join();
     const std::string context =
         c.name + (driver == nullptr ? " cancelled sequential"

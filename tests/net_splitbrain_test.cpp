@@ -510,19 +510,45 @@ TEST_F(NetSplitBrainTest, PartitionPromoteHealYieldsOneEpochOfAcksPerRequest) {
     }
 
     // Exactly-once accounting still balances across both processes, the
-    // typed stale refusals included.
-    const uint64_t total = CounterValue("net.requests");
-    const uint64_t split = CounterValue("net.requests_ok") +
-                           CounterValue("net.requests_error") +
-                           CounterValue("net.requests_overloaded") +
-                           CounterValue("net.requests_deadline_exceeded") +
-                           CounterValue("net.requests_resource_exhausted") +
-                           CounterValue("net.requests_cancelled") +
-                           CounterValue("net.requests_unavailable");
+    // typed stale refusals included. The healed pair never goes quiet —
+    // B's peer probe and the replication streams are counted requests, and
+    // each is counted in ServerStats, net.requests and its outcome counter
+    // one after another — so the counts are read as one snapshot: the reads
+    // repeat until neither server's count moved across them. A request
+    // counted in one place but not another would keep them apart.
+    const auto served = [&] {
+      return pair.server_a->stats().requests + pair.server_b->stats().requests;
+    };
+    const auto split_now = [] {
+      return CounterValue("net.requests_ok") +
+             CounterValue("net.requests_error") +
+             CounterValue("net.requests_overloaded") +
+             CounterValue("net.requests_deadline_exceeded") +
+             CounterValue("net.requests_resource_exhausted") +
+             CounterValue("net.requests_cancelled") +
+             CounterValue("net.requests_unavailable");
+    };
+    uint64_t total = 0;
+    uint64_t split = 0;
+    uint64_t served_total = 0;
+    const bool balanced = WaitFor(
+        [&] {
+          served_total = served();
+          total = CounterValue("net.requests");
+          split = split_now();
+          const bool still = served() == served_total &&
+                             CounterValue("net.requests") == total;
+#if QMATCH_OBS_ENABLED
+          return still && total == split && total == served_total;
+#else
+          return still && total == split;
+#endif
+        },
+        milliseconds(10000));
+    EXPECT_TRUE(balanced) << "no consistent snapshot balanced";
     EXPECT_EQ(total, split);
 #if QMATCH_OBS_ENABLED
-    EXPECT_EQ(total, pair.server_a->stats().requests +
-                         pair.server_b->stats().requests);
+    EXPECT_EQ(total, served_total);
 #endif
   }
 }
