@@ -9,7 +9,10 @@
 // the paper's (Java on a 2 GHz Pentium 4).
 //
 // google-benchmark binary: each benchmark matches one task with one
-// algorithm; the total element count is reported as a counter.
+// algorithm; the total element count is reported as a counter. Every row
+// times a match from scratch except BM_HybridWarm, which reuses one
+// QMatch and so reads every token pair from its memo after the first
+// iteration (the steady state of a long-lived engine).
 
 #include <benchmark/benchmark.h>
 
@@ -72,6 +75,17 @@ void BM_Structural(benchmark::State& state, const std::string& task_name) {
 
 void BM_Hybrid(benchmark::State& state, const std::string& task_name) {
   const TaskSchemas& task = GetTask(task_name);
+  for (auto _ : state) {
+    // A fresh matcher per match: its token-similarity memo starts empty.
+    core::QMatch matcher;
+    MatchResult result = matcher.Match(task.source, task.target);
+    benchmark::DoNotOptimize(result);
+  }
+  ReportElements(state, task);
+}
+
+void BM_HybridWarm(benchmark::State& state, const std::string& task_name) {
+  const TaskSchemas& task = GetTask(task_name);
   core::QMatch matcher;
   for (auto _ : state) {
     MatchResult result = matcher.Match(task.source, task.target);
@@ -86,6 +100,8 @@ void BM_Hybrid(benchmark::State& state, const std::string& task_name) {
   BENCHMARK_CAPTURE(BM_Structural, task##_##elements, #task)               \
       ->Unit(benchmark::kMillisecond);                                     \
   BENCHMARK_CAPTURE(BM_Hybrid, task##_##elements, #task)                   \
+      ->Unit(benchmark::kMillisecond);                                     \
+  BENCHMARK_CAPTURE(BM_HybridWarm, task##_##elements, #task)               \
       ->Unit(benchmark::kMillisecond)
 
 QMATCH_FIG4_TASK(PO, 19);
